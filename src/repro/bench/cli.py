@@ -16,9 +16,10 @@ counters instead of requiring a trace file::
     python -m repro.bench table2 --scale 0.0625 --trace /tmp/t.jsonl
     python -m repro.bench profile table2 --scale 0.0625 --top 10
 
-Live observability: ``--obs`` installs a :mod:`repro.obs` runtime for
-the run (chunk/cell latency histograms, windowed fallback/retry/cache
-rates, resource gauges, the default SLO rule set), ``--metrics-out``
+Live observability: ``--obs`` turns on the live view of the telemetry
+sink (a :class:`repro.obs.ObsRuntime`: chunk/cell latency histograms,
+windowed fallback/retry/cache rates, resource gauges, the default SLO
+rule set), ``--metrics-out``
 writes the final OpenMetrics snapshot (``--obs-interval N`` rewrites
 it every N seconds while running), ``--rule`` adds SLO rules, and
 ``--stacks-out`` runs the sampling profiler, writing flamegraph
@@ -396,12 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     runtime = prev_runtime = None
     if obs_on:
-        from repro import obs
+        from repro.obs import ObsRuntime
         from repro.obs.rules import default_rules, parse_rule
 
         rules = default_rules() + [parse_rule(r) for r in args.rule]
-        runtime = obs.ObsRuntime(rules=rules)
-        prev_runtime = obs.set_runtime(runtime)
+        runtime = ObsRuntime(rules=rules)
+        prev_runtime = telemetry.set_live(runtime)
         runtime.start_resource_monitor()
         if args.stacks_out:
             runtime.start_profiler(args.stacks_hz)
@@ -509,10 +510,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[dashboard] wrote {path}")
     finally:
         if runtime is not None:
-            from repro import obs
-
             runtime.close()
-            obs.set_runtime(prev_runtime)
+            telemetry.set_live(prev_runtime)
         if trace_on:
             telemetry.set_collector(prev_collector)
     return 0

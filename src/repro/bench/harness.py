@@ -14,7 +14,7 @@ it to each requested format once, and fans out over thread counts.
 
 Real-clock cells honor the ``backend`` axis: ``"process"`` runs its
 chunks in fork-pool workers whose spans and metric shards are merged
-back into the parent's telemetry/obs sinks (:mod:`repro.obs.xproc`),
+back into the parent's telemetry sink (:mod:`repro.obs.xproc`),
 so reports, traces and the dashboard's workers table cover them like
 any single-process run.
 """
@@ -32,7 +32,6 @@ from repro.machine.costmodel import CostModel, default_cost_model
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import MachineSpec, clovertown_8core
 from repro.matrices.collection import realize
-from repro.obs import core as obs
 from repro.perf import attribution as perf_attribution
 from repro.perf.attribution import Attribution
 from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
@@ -275,10 +274,11 @@ def run_format_matrix(
     """
     if config.threads_choice:
         configs = resolve_thread_configs(matrix, config, matrix_id)
-    # Live observability: one histogram sample per finished cell, so a
+    # Work done only for the event log (plan counters, attribution
+    # records) is skipped when only live metrics are on.
+    tracing = telemetry.get_collector() is not None
+    # The cell span is also the live bench.cell.seconds sample, so a
     # scraper watching a long sweep sees throughput and tail cells.
-    runtime = obs.get_runtime()
-    cell_t0 = time.perf_counter() if runtime is not None else 0.0
     with telemetry.span(
         "bench.cell", matrix_id=matrix_id, format=format_name
     ) as cell:
@@ -295,7 +295,7 @@ def run_format_matrix(
         # clock this runs only when tracing, so the plan.build/hit/miss
         # counters appear in --trace output either way.
         plannable = converted.name in PLANNABLE_FORMATS
-        if plannable and (config.clock == "real" or telemetry.enabled()):
+        if plannable and (config.clock == "real" or tracing):
             get_plan(converted)
         setup_s = time.perf_counter() - setup_t0
         kernel_tier = config.kernel
@@ -312,7 +312,7 @@ def run_format_matrix(
         for threads, placement in configs:
             key = (threads, placement)
             sim_res = None
-            if plannable and telemetry.enabled():
+            if plannable and tracing:
                 get_plan(converted)  # cache hit, one per configuration
             if config.clock == "model":
                 res = simulate_spmv(
@@ -421,16 +421,9 @@ def run_format_matrix(
                 pass
             else:
                 attributions[key] = att
-                if telemetry.enabled():
+                if tracing:
                     perf_attribution.record(att)
         cell.add(nnz=converted.nnz)
-    if runtime is not None:
-        runtime.observe(
-            "bench.cell.seconds",
-            time.perf_counter() - cell_t0,
-            format=format_name,
-        )
-        runtime.mark("bench.cells", 1, format=format_name)
     return MatrixResult(
         matrix_id=matrix_id,
         format_name=format_name,
@@ -463,6 +456,7 @@ def run_set(
     even realized.  The resumed result is identical to an uninterrupted
     run's (the speedup-vs-CSR fill below runs on restored cells too).
     """
+    tracing = telemetry.get_collector() is not None
     log = None
     done: dict[tuple[int, str], MatrixResult] = {}
     if config.checkpoint_path:
@@ -496,7 +490,7 @@ def run_set(
                 # size-reduction figure shares the denominator, so
                 # encode it exactly once.
                 csr_storage = cached_convert(matrix, "csr", cache=cache).storage()
-                if telemetry.enabled() and not any(
+                if tracing and not any(
                     f.startswith("csr-du") for f in formats_m
                 ):
                     # Tracing asks "what structure does this matrix

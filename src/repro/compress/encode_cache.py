@@ -40,7 +40,6 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.obs import core as obs
 from repro.telemetry import core as telemetry
 
 #: Attribute used to stamp source matrices with their cache token.
@@ -164,10 +163,8 @@ class ConvertCache:
                 self.hits += 1
         if entry is not None:
             telemetry.count("convert.cache.hit", 1, format=format_name)
-            obs.mark("convert.cache.hit", 1, format=format_name)
             return entry[0]
         telemetry.count("convert.cache.miss", 1, format=format_name)
-        obs.mark("convert.cache.miss", 1, format=format_name)
         # Conversion runs outside the lock: encodes are the expensive
         # part, and two racing misses on one key just do the work twice
         # (both results are equivalent; last insert wins).
@@ -208,7 +205,6 @@ class ConvertCache:
             telemetry.count(
                 "convert.cache.evict.bytes", old_bytes, format=old_key[1]
             )
-            obs.mark("convert.cache.evict.bytes", old_bytes, format=old_key[1])
         return result
 
 

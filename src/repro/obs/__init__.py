@@ -21,37 +21,28 @@ any instant:
 * what is the process doing to the machine
   (:mod:`~repro.obs.resource` -- RSS / GC / thread-count gauges).
 
+Every one of these reads the live aggregates that the one telemetry
+sink feeds (:mod:`repro.telemetry`): there is no second recording API.
 State is exposed two ways: ``snapshot()`` (structured dict) and
 ``render_openmetrics()`` (Prometheus/OpenMetrics text for any
 scraper).  Usage::
 
-    from repro import obs
+    from repro import telemetry
+    from repro.obs import ObsRuntime
 
-    obs.configure()                       # default SLO rules installed
-    runtime = obs.get_runtime()
+    runtime = ObsRuntime()                # default SLO rules installed
+    prev = telemetry.set_live(runtime)
     runtime.start_resource_monitor()
     # ... any repro work: ParallelSpMV, run_set(), guarded_spmv() ...
     alerts = runtime.evaluate_rules()
     print(runtime.render_openmetrics())
-    obs.configure(enabled=False)
-
-Disabled (the default), every entry point is one attribute check --
-the same zero-overhead contract as telemetry, pinned by the same
-overhead test.
+    telemetry.set_live(prev)
+    runtime.close()
 """
 
 from __future__ import annotations
 
-from repro.obs.core import (
-    ObsRuntime,
-    configure,
-    enabled,
-    get_runtime,
-    mark,
-    observe,
-    set_gauge,
-    set_runtime,
-)
+from repro.obs.core import ObsRuntime
 from repro.obs.histogram import StreamingHistogram
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.profiler import SamplingProfiler
@@ -81,11 +72,4 @@ __all__ = [
     "default_rules",
     "parse_rule",
     "render_openmetrics",
-    "configure",
-    "enabled",
-    "get_runtime",
-    "set_runtime",
-    "observe",
-    "mark",
-    "set_gauge",
 ]

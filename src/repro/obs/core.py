@@ -1,33 +1,30 @@
-"""Live observability runtime: the streaming counterpart to telemetry.
+"""Live aggregates: the second view of the one telemetry sink.
 
-:mod:`repro.telemetry` records an *event stream* for post-hoc analysis;
-this module aggregates *while the system runs*: histograms of chunk
-latencies, sliding-window rates of the fallback/retry/cache counters,
-process gauges from the resource monitor, and SLO rules evaluated on
-point-in-time snapshots.  Its contract mirrors telemetry's exactly:
+:mod:`repro.telemetry` records every event through one sink; the event
+log keeps the stream for post-hoc analysis, and an installed
+:class:`ObsRuntime` aggregates *while the system runs*: histograms of
+chunk latencies, sliding-window rates of the fallback/retry/cache
+counters, process gauges from the resource monitor, and SLO rules
+evaluated on point-in-time snapshots.
 
-* **Disabled by default.**  The module-level ``_runtime`` is ``None``
-  and every entry point (:func:`observe`, :func:`mark`,
-  :func:`set_gauge`) is a single attribute load plus ``is None`` test,
-  pinned by ``tests/telemetry/test_overhead.py`` -- hot paths pay
-  nothing, and results are bit-identical either way.
-* **Scoped enabling.**  :func:`configure` installs a fresh
-  :class:`ObsRuntime`; :func:`set_runtime` swaps an explicit one in
-  and returns the previous (tests, the bench CLI's ``--obs``).
+* **Installed through telemetry.**  ``telemetry.set_live(runtime)``
+  turns the live view on (``--obs`` does this); there is no second
+  global and no second recording call.  :meth:`ObsRuntime.record` maps
+  each event onto the live series declared for its name in
+  :data:`repro.telemetry.metrics.VOCABULARY`.
 * **Telemetry is the event sink.**  Fired alerts and periodic
   snapshots are emitted as ``obs.alert`` / ``obs.snapshot`` counter
   events through :mod:`repro.telemetry.core` (no-ops when tracing is
   off), so the JSONL trace, the bench summary and the HTML dashboard
   all see what the live engine saw.
 
-Metric keys are ``(name, sorted labels)`` exactly like the telemetry
-collector's, so ``kernel.fallback{format=csr-du}`` aggregates the same
-way in both worlds.
+Metric keys are the event log's ``(name, sorted labels)`` tuples
+(:func:`repro.telemetry.core.metric_key`).
 """
 
 from __future__ import annotations
 
-import json
+import os
 import threading
 import time
 from collections import deque
@@ -40,29 +37,16 @@ from repro.obs.resource import DEFAULT_INTERVAL_S, ResourceMonitor
 from repro.obs.rules import Alert, Rule, RuleEngine, default_rules
 from repro.obs.window import WindowedCounter
 from repro.telemetry import core as telemetry
+from repro.telemetry.core import MetricKey, metric_key
+from repro.telemetry.metrics import LIVE_VIEWS
 
-__all__ = [
-    "ObsRuntime",
-    "configure",
-    "get_runtime",
-    "set_runtime",
-    "enabled",
-    "observe",
-    "mark",
-    "set_gauge",
-]
+__all__ = ["ObsRuntime"]
 
 #: Rate windows always present in snapshots (rules add their own).
 DEFAULT_WINDOWS = (10.0, 60.0)
 
 #: Fired alerts kept in the runtime's bounded log.
 MAX_ALERTS = 256
-
-_KeyT = tuple[str, tuple[tuple[str, Any], ...]]
-
-
-def _key(name: str, labels: dict[str, Any]) -> _KeyT:
-    return (name, tuple(sorted(labels.items())) if labels else ())
 
 
 class _SnapshotFlusher(threading.Thread):
@@ -89,8 +73,9 @@ class _SnapshotFlusher(threading.Thread):
 
 
 class ObsRuntime:
-    """Aggregating metric runtime: histograms, windowed counters,
-    gauges, rules, and the optional monitor/profiler/flusher threads.
+    """The live view: histograms, windowed counters and gauges fed by
+    the telemetry sink (install with ``telemetry.set_live``), plus the
+    rules and optional monitor/profiler/flusher threads that read them.
 
     Parameters
     ----------
@@ -114,9 +99,9 @@ class ObsRuntime:
         self._lock = threading.Lock()
         self._clock = clock
         self._histogram_growth = histogram_growth
-        self._histograms: dict[_KeyT, StreamingHistogram] = {}
-        self._counters: dict[_KeyT, WindowedCounter] = {}
-        self._gauges: dict[_KeyT, float] = {}
+        self._histograms: dict[MetricKey, StreamingHistogram] = {}
+        self._counters: dict[MetricKey, WindowedCounter] = {}
+        self._gauges: dict[MetricKey, float] = {}
         self.engine = RuleEngine(
             default_rules() if rules is None else rules
         )
@@ -128,9 +113,33 @@ class ObsRuntime:
         self._flusher: _SnapshotFlusher | None = None
 
     # -- recording ---------------------------------------------------------
+    def record(self, name: str, value: float, attrs: dict[str, Any]) -> None:
+        """Feed one event into the live series declared for *name*.
+
+        This is the sink's entry point: *value* is the event's own
+        value (a span's seconds, a counter's increment, a gauge's or
+        sample's value) and *attrs* its labels plus payload.
+        """
+        for view in LIVE_VIEWS.get(name, ()):
+            labels = {}
+            for spec in view.labels:
+                label, _, attr = spec.partition("=")
+                attr = attr or label
+                if attr in attrs:
+                    labels[label] = attrs[attr]
+            sample = value if view.value is None else attrs.get(view.value)
+            if sample is None:
+                continue
+            if view.kind == "histogram":
+                self.observe(view.name, sample, **labels)
+            elif view.kind == "counter":
+                self.mark(view.name, sample, **labels)
+            else:
+                self.set_gauge(view.name, sample, **labels)
+
     def observe(self, name: str, value: float, **labels) -> None:
         """Record *value* into the histogram ``name`` + *labels*."""
-        key = _key(name, labels)
+        key = metric_key(name, labels)
         hist = self._histograms.get(key)
         if hist is None:
             with self._lock:
@@ -141,7 +150,7 @@ class ObsRuntime:
 
     def mark(self, name: str, value: float = 1.0, **labels) -> None:
         """Accumulate *value* onto the windowed counter ``name`` + *labels*."""
-        key = _key(name, labels)
+        key = metric_key(name, labels)
         counter = self._counters.get(key)
         if counter is None:
             with self._lock:
@@ -153,7 +162,7 @@ class ObsRuntime:
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Record the current *value* of ``name`` (last write wins)."""
         with self._lock:
-            self._gauges[_key(name, labels)] = float(value)
+            self._gauges[metric_key(name, labels)] = float(value)
 
     # -- cross-process shards ----------------------------------------------
     @property
@@ -198,10 +207,10 @@ class ObsRuntime:
         Histograms merge by bucket-count addition (merge-of-shards ==
         histogram-of-concatenation), counters by adding the shard's
         total at the merge instant (rates lag by one flush -- see
-        ``DESIGN.md`` 4.7), gauges last-write-wins.
+        ``DESIGN.md`` 4.5), gauges last-write-wins.
         """
         for item in payload.get("histograms", ()):
-            key = _key(item["name"], item["labels"])
+            key = metric_key(item["name"], item["labels"])
             shard = StreamingHistogram.from_shard(item["shard"])
             hist = self._histograms.get(key)
             if hist is None:
@@ -214,7 +223,7 @@ class ObsRuntime:
                     )
             hist.merge(shard)
         for item in payload.get("counters", ()):
-            key = _key(item["name"], item["labels"])
+            key = metric_key(item["name"], item["labels"])
             counter = self._counters.get(key)
             if counter is None:
                 with self._lock:
@@ -224,7 +233,7 @@ class ObsRuntime:
             counter.merge_shard(item["shard"])
         for item in payload.get("gauges", ()):
             with self._lock:
-                self._gauges[_key(item["name"], item["labels"])] = float(
+                self._gauges[metric_key(item["name"], item["labels"])] = float(
                     item["value"]
                 )
 
@@ -321,16 +330,7 @@ class ObsRuntime:
             tmp = f"{path}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            import os
-
             os.replace(tmp, path)
-        return snap
-
-    def write_snapshot_json(self, path: str) -> dict:
-        """Write :meth:`snapshot` as JSON (machine-readable sibling)."""
-        snap = self.snapshot()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(snap, fh, indent=1, sort_keys=True)
         return snap
 
     # -- background threads ------------------------------------------------
@@ -338,7 +338,7 @@ class ObsRuntime:
         self, interval_s: float = DEFAULT_INTERVAL_S
     ) -> ResourceMonitor:
         if self.monitor is None:
-            self.monitor = ResourceMonitor(self, interval_s).start()
+            self.monitor = ResourceMonitor(interval_s).start()
         return self.monitor
 
     def start_profiler(self, hz: float = DEFAULT_HZ) -> SamplingProfiler:
@@ -370,62 +370,3 @@ class ObsRuntime:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# Module-level surface: one attribute check when disabled.
-# ---------------------------------------------------------------------------
-
-_runtime: ObsRuntime | None = None
-
-
-def configure(enabled: bool = True, **kwargs) -> ObsRuntime | None:
-    """Install a fresh :class:`ObsRuntime` (or disable observability).
-
-    Returns the new runtime (``None`` when disabling).  The previous
-    runtime's background threads are stopped.
-    """
-    global _runtime
-    if _runtime is not None:
-        _runtime.close()
-    _runtime = ObsRuntime(**kwargs) if enabled else None
-    return _runtime
-
-
-def get_runtime() -> ObsRuntime | None:
-    """The active runtime, or ``None`` when observability is disabled."""
-    return _runtime
-
-
-def set_runtime(runtime: ObsRuntime | None) -> ObsRuntime | None:
-    """Swap the active runtime; returns the previous one (scoped use)."""
-    global _runtime
-    prev = _runtime
-    _runtime = runtime
-    return prev
-
-
-def enabled() -> bool:
-    """True when a runtime is installed."""
-    return _runtime is not None
-
-
-def observe(name: str, value: float, **labels) -> None:
-    """Histogram observation on the active runtime (no-op if disabled)."""
-    r = _runtime
-    if r is not None:
-        r.observe(name, value, **labels)
-
-
-def mark(name: str, value: float = 1.0, **labels) -> None:
-    """Windowed counter increment on the active runtime (no-op if disabled)."""
-    r = _runtime
-    if r is not None:
-        r.mark(name, value, **labels)
-
-
-def set_gauge(name: str, value: float, **labels) -> None:
-    """Gauge write on the active runtime (no-op if disabled)."""
-    r = _runtime
-    if r is not None:
-        r.set_gauge(name, value, **labels)

@@ -1,11 +1,12 @@
 """Process resource monitor: RSS, GC collections, thread count.
 
-A daemon thread sampling cheap process-level signals into observability
-gauges (and, when telemetry is enabled, ``obs.resource.*`` gauge
-events) at a fixed interval.  Memory matters here specifically: SpMV
-is memory-bound, and the paper's formats trade index bytes for decode
-work -- a serving layer needs to see the resident-set cost of encode
-caches and partition chunks move in real time.
+A daemon thread sampling cheap process-level signals as
+``obs.resource.*`` telemetry gauges at a fixed interval; the one sink
+routes them into the live aggregates and, when tracing, the event log.
+Memory matters here specifically: SpMV is memory-bound, and the paper's
+formats trade index bytes for decode work -- a serving layer needs to
+see the resident-set cost of encode caches and partition chunks move in
+real time.
 
 RSS is read from ``/proc/self/statm`` (field 2 x page size) on Linux;
 when that is unavailable the fallback is ``resource.getrusage``'s
@@ -56,20 +57,11 @@ def gc_collections() -> int:
 
 
 class ResourceMonitor:
-    """Daemon thread feeding process gauges into an obs runtime.
+    """Daemon thread recording process gauges every *interval_s*."""
 
-    Parameters
-    ----------
-    runtime:
-        The :class:`~repro.obs.core.ObsRuntime` receiving the gauges.
-    interval_s:
-        Sampling period of the background thread.
-    """
-
-    def __init__(self, runtime, interval_s: float = DEFAULT_INTERVAL_S) -> None:
+    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        self.runtime = runtime
         self.interval_s = float(interval_s)
         self.samples_taken = 0
         self._stop = threading.Event()
@@ -85,14 +77,11 @@ class ResourceMonitor:
         }
         for name, value in values.items():
             if name == "obs.resource.rss_bytes":
-                self.runtime.set_gauge(
+                telemetry.gauge(
                     name, value, rss_is_peak="true" if is_peak else "false"
                 )
             else:
-                self.runtime.set_gauge(name, value)
-            # Mirror into the trace (no-op when telemetry is off) so a
-            # JSONL consumer can plot resource use over the run.
-            telemetry.gauge(name, value)
+                telemetry.gauge(name, value)
         self.samples_taken += 1
         return values
 

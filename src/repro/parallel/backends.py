@@ -31,11 +31,12 @@ only adds dispatch overhead, so defaults are capped there; an
 (:mod:`repro.perf.advisor`) to pick the compression format for this
 matrix; the resolved executor is bit-identical to one built with the
 same format spelled explicitly.
-They also share the observability contract: with telemetry or obs
-enabled, both emit ``parallel.chunk`` spans and ``spmv.chunk.seconds``
-histograms -- the process executor records them *inside* its workers
-and merges them back via :mod:`repro.obs.xproc`, so traces and metrics
-look the same whichever backend ran.
+They also share the observability contract: with telemetry enabled,
+both emit ``parallel.chunk`` spans, which are also the
+``spmv.chunk.seconds`` live samples -- the process executor records
+them *inside* its workers and merges them back via
+:mod:`repro.obs.xproc`, so traces and metrics look the same whichever
+backend ran.
 """
 
 from __future__ import annotations

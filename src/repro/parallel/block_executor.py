@@ -161,15 +161,15 @@ class BlockParallelSpMV:
                 for (r0, _r1), (c0, c1), tile in tiles:
                     y[r0 : r0 + tile.nrows] += tile.spmv(x[c0:c1])
 
-            with telemetry.span(
-                "parallel.chunk",
-                thread=t,
-                lo=0,
-                hi=len(self.tiles[t]),
-                nnz=int(nnz),
-                kind="block",
-            ):
-                try:
+            try:
+                with telemetry.span(
+                    "parallel.chunk",
+                    thread=t,
+                    lo=0,
+                    hi=len(self.tiles[t]),
+                    nnz=int(nnz),
+                    kind="block",
+                ):
                     self.retry_policy.run(
                         attempt,
                         target=self.tiles[t],
@@ -178,11 +178,11 @@ class BlockParallelSpMV:
                         rng=self._retry_rng,
                         on_retry=on_retry,
                     )
-                    return None
-                except Exception as exc:
-                    return ChunkFailure(
-                        t, 0, len(self.tiles[t]), exc, retried=retried
-                    )
+            except Exception as exc:
+                return ChunkFailure(
+                    t, 0, len(self.tiles[t]), exc, retried=retried
+                )
+            return None
 
         failures: list[ChunkFailure] = []
         with telemetry.span("parallel.spmv", threads=self.nthreads, kind="block"):

@@ -132,15 +132,15 @@ class ColumnParallelSpMV:
                 )
                 chunk.spmv(x[lo:hi], out=self._partials[t])
 
-            with telemetry.span(
-                "parallel.chunk",
-                thread=t,
-                lo=lo,
-                hi=hi,
-                nnz=int(self.partition.nnz_per_thread[t]),
-                kind="column",
-            ):
-                try:
+            try:
+                with telemetry.span(
+                    "parallel.chunk",
+                    thread=t,
+                    lo=lo,
+                    hi=hi,
+                    nnz=int(self.partition.nnz_per_thread[t]),
+                    kind="column",
+                ):
                     self.retry_policy.run(
                         attempt,
                         target=self.chunks[t],
@@ -149,9 +149,9 @@ class ColumnParallelSpMV:
                         rng=self._retry_rng,
                         on_retry=on_retry,
                     )
-                    return None
-                except Exception as exc:
-                    return ChunkFailure(t, lo, hi, exc, retried=retried)
+            except Exception as exc:
+                return ChunkFailure(t, lo, hi, exc, retried=retried)
+            return None
 
         failures: list[ChunkFailure] = []
         with telemetry.span("parallel.spmv", threads=self.nthreads, kind="column"):

@@ -40,7 +40,6 @@ matrix larger than RAM can still be driven by the thread backend
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ from repro.errors import (
 from repro.formats.base import SparseMatrix, check_out_aliasing
 from repro.formats.conversions import to_csr
 from repro.kernels.plan import PLANNABLE_FORMATS, get_plan
-from repro.obs import core as obs
 from repro.parallel.partition import RowPartition, row_partition
 from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
@@ -166,7 +164,6 @@ def abandon_chunk(
         kind=kind,
         backend=backend,
     )
-    obs.mark("executor.chunk.abandoned", 1, kind=kind, backend=backend)
     return ChunkFailure(
         t,
         lo,
@@ -380,11 +377,6 @@ class ParallelSpMV:
 
         def work(t: int) -> ChunkFailure | None:
             lo, hi = self.partition.rows_of(t)
-            # Live observability: one histogram sample per chunk (the
-            # serving layer's latency signal).  The disabled path is a
-            # single attribute check, same contract as telemetry.
-            runtime = obs.get_runtime()
-            t0 = time.perf_counter() if runtime is not None else 0.0
             retried = False
 
             def on_retry(exc: BaseException, attempt: int) -> None:
@@ -401,21 +393,25 @@ class ParallelSpMV:
                     },
                     format=self._format_name,
                 )
-                obs.mark("executor.retry", 1, format=self._format_name)
 
             def attempt(chunk) -> None:
                 chaos.trip("thread.chunk", thread=t, lo=lo, hi=hi, kind="row")
                 chunk.spmv(x, out=y[lo:hi])
 
-            with telemetry.span(
-                "parallel.chunk",
-                thread=t,
-                lo=lo,
-                hi=hi,
-                nnz=int(self.partition.nnz_per_thread[t]),
-                kind="row",
-            ):
-                try:
+            # The chunk span is also the live spmv.chunk.seconds sample;
+            # a failed chunk leaves the span by exception and so is
+            # logged but not sampled.
+            try:
+                with telemetry.span(
+                    "parallel.chunk",
+                    thread=t,
+                    lo=lo,
+                    hi=hi,
+                    nnz=int(self.partition.nnz_per_thread[t]),
+                    kind="row",
+                    format=self._format_name,
+                    backend=self.backend,
+                ):
                     self.retry_policy.run(
                         attempt,
                         target=self.chunks[t],
@@ -425,21 +421,17 @@ class ParallelSpMV:
                         rng=self._retry_rng,
                         on_retry=on_retry,
                     )
-                    if runtime is not None:
-                        runtime.observe(
-                            "spmv.chunk.seconds",
-                            time.perf_counter() - t0,
-                            format=self._format_name,
-                            backend=self.backend,
-                        )
-                    return None
-                except Exception as exc:
-                    return ChunkFailure(t, lo, hi, exc, retried=retried)
+            except Exception as exc:
+                return ChunkFailure(t, lo, hi, exc, retried=retried)
+            return None
 
         failures: list[ChunkFailure] = []
-        runtime = obs.get_runtime()
-        call_t0 = time.perf_counter() if runtime is not None else 0.0
-        with telemetry.span("parallel.spmv", threads=self.nthreads):
+        with telemetry.span(
+            "parallel.spmv",
+            threads=self.nthreads,
+            format=self._format_name,
+            backend=self.backend,
+        ):
             if self._pool is None:
                 failure = work(0)
                 if failure is not None:
@@ -457,14 +449,6 @@ class ParallelSpMV:
                         kind="row",
                     )
                 )
-        if runtime is not None:
-            runtime.observe(
-                "spmv.call.seconds",
-                time.perf_counter() - call_t0,
-                format=self._format_name,
-                threads=self.nthreads,
-                backend=self.backend,
-            )
         if failures:
             detail = "; ".join(f.describe() for f in failures)
             raise ExecutionError(

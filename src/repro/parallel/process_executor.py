@@ -37,7 +37,6 @@ from __future__ import annotations
 import builtins
 import multiprocessing
 import os
-import time
 import traceback
 import uuid
 from collections import OrderedDict
@@ -59,7 +58,6 @@ from repro.errors import (
 )
 from repro.formats.base import SparseMatrix, check_out_aliasing
 from repro.formats.conversions import to_csr
-from repro.obs import core as obs
 from repro.obs import xproc
 from repro.parallel.executor import RETRYABLE, ChunkFailure, abandon_chunk
 from repro.parallel.partition import RowPartition, row_partition
@@ -112,9 +110,9 @@ def _cached_shard(spec: dict) -> SparseMatrix:
 
     attach_shard verifies every field CRC: a poisoned shard raises
     IntegrityError here, which the parent sees as retryable.  The
-    hit/miss marks flow through whatever telemetry/obs sinks are
-    installed in this process -- the worker-scoped ones when a trace
-    context enabled them, or the disabled fast path otherwise.
+    hit/miss counts flow through whatever telemetry sink is installed
+    in this process -- the worker-scoped one when a trace context
+    enabled it, or the disabled fast path otherwise.
     """
     key = (spec["index"], spec["generation"])
     shard = _SHARD_CACHE.get(key)
@@ -127,7 +125,6 @@ def _cached_shard(spec: dict) -> SparseMatrix:
             extra={"index": spec["index"]},
             storage=storage,
         )
-        obs.mark("storage.shard.cache.hit", 1, storage=storage)
         return shard
     # The miss is recorded before the attach so a failing attach still
     # counts as a miss.
@@ -137,7 +134,6 @@ def _cached_shard(spec: dict) -> SparseMatrix:
         extra={"index": spec["index"]},
         storage=storage,
     )
-    obs.mark("storage.shard.cache.miss", 1, storage=storage)
     shard = attach_shard(spec, verify=True)
     _SHARD_CACHE[key] = shard
     while len(_SHARD_CACHE) > _SHARD_CACHE_CAPACITY:
@@ -162,13 +158,14 @@ def _worker_spmv(
     worker traceback -- exception objects cannot cross the boundary,
     but the text can.
 
-    When the spec carries a trace context (the parent had telemetry or
-    obs enabled), the chunk runs under worker-scoped sinks and the
-    status dict ships everything recorded -- spans, counters, metric
-    shards -- back for the parent to merge (:mod:`repro.obs.xproc`).
-    Without a context nothing here touches a collector or runtime.
+    When the spec carries a trace context (the parent had telemetry
+    enabled), the chunk runs under a worker-scoped sink and the status
+    dict ships everything recorded -- spans, counters, live shards,
+    including this chunk's ``spmv.chunk.seconds`` sample fed by its
+    ``parallel.chunk`` span -- back for the parent to merge
+    (:mod:`repro.obs.xproc`).  Without a context nothing here touches
+    a sink.
     """
-    t0 = time.perf_counter()
     ctx = spec.get("ctx")
     wt: xproc.WorkerTelemetry | None = None
     try:
@@ -183,6 +180,7 @@ def _worker_spmv(
                 hi=hi,
                 nnz=wt.ctx.attrs.get("nnz", 0) if wt else 0,
                 kind="row",
+                format=wt.ctx.attrs.get("format", "") if wt else "",
                 backend="process",
                 pid=os.getpid(),
                 run_id=wt.ctx.run_id if wt else "",
@@ -207,22 +205,13 @@ def _worker_spmv(
                     shard = _cached_shard(spec)
                 with telemetry.span("worker.multiply", index=spec["index"]):
                     shard.spmv(x, out=y[lo:hi])
-            seconds = time.perf_counter() - t0
-            if wt is not None and wt.runtime is not None:
-                wt.runtime.observe(
-                    "spmv.chunk.seconds",
-                    seconds,
-                    format=wt.ctx.attrs.get("format", ""),
-                    backend="process",
-                )
-            status = {"ok": True, "seconds": seconds}
+            status = {"ok": True}
         finally:
             if wt is not None:
                 wt.end()
     except BaseException as exc:  # noqa: BLE001 - must not escape the worker
         status = {
             "ok": False,
-            "seconds": time.perf_counter() - t0,
             "error_type": type(exc).__name__,
             "error": str(exc),
             "retryable": isinstance(exc, RETRYABLE),
@@ -418,9 +407,9 @@ class ProcessParallelSpMV:
     def _submit(self, pool: ProcessPoolExecutor, t: int):
         lo, hi = self.partition.rows_of(t)
         # The spec dict is shared with the store's manifest, so the
-        # trace context rides on a copy.  ctx is None when both
-        # telemetry and obs are off -- the worker then makes zero
-        # observability calls (the xproc zero-overhead contract).
+        # trace context rides on a copy.  ctx is None when telemetry
+        # is off -- the worker then makes zero recording calls (the
+        # xproc zero-overhead contract).
         spec = dict(self.store.attach_spec(t))
         ctx = xproc.current_context(
             run_id=self._run_id,
@@ -478,40 +467,11 @@ class ProcessParallelSpMV:
                 None,
                 True,
             )
-        # Worker-side telemetry/metrics merge first (also for failed
-        # chunks: their partial events show where worker time went).
+        # Worker-side telemetry merges first (also for failed chunks:
+        # their partial events show where worker time went).
         payload = status.get("xproc")
         if payload is not None:
             xproc.ingest_payload(payload)
-        if status["ok"]:
-            runtime = obs.get_runtime()
-            # The worker already observed its chunk latency when its
-            # context had obs on (shipped in the payload's shards);
-            # observing here too would double-count, so the parent
-            # records only for workers that ran without an obs scope.
-            if runtime is not None and (
-                payload is None or "shards" not in payload
-            ):
-                runtime.observe(
-                    "spmv.chunk.seconds",
-                    status["seconds"],
-                    format=self._format_name,
-                    backend=self.backend,
-                )
-            telemetry.count(
-                "parallel.chunk",
-                1,
-                extra={
-                    "thread": t,
-                    "lo": lo,
-                    "hi": hi,
-                    "nnz": int(self.partition.nnz_per_thread[t]),
-                    "kind": "row",
-                    "backend": self.backend,
-                    "seconds": status["seconds"],
-                },
-            )
-            return None, status, False
         return None, status, False
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -529,10 +489,11 @@ class ProcessParallelSpMV:
 
         failures: list[ChunkFailure] = []
         needs_rotation = False
-        runtime = obs.get_runtime()
-        call_t0 = time.perf_counter()
         with telemetry.span(
-            "parallel.spmv", threads=self.nworkers, backend=self.backend
+            "parallel.spmv",
+            threads=self.nworkers,
+            format=self._format_name,
+            backend=self.backend,
         ):
             pool = self._ensure_pool()
             futures = {t: self._submit(pool, t) for t in range(self.nworkers)}
@@ -602,7 +563,6 @@ class ProcessParallelSpMV:
                     },
                     format=self._format_name,
                 )
-                obs.mark("executor.retry", 1, format=self._format_name)
                 try:
                     self.store.rebuild_shard(t)
                 except Exception as exc2:
@@ -643,14 +603,6 @@ class ProcessParallelSpMV:
             y = np.array(y_view, copy=True)
         if needs_rotation:
             self._rotate()
-        if runtime is not None:
-            runtime.observe(
-                "spmv.call.seconds",
-                time.perf_counter() - call_t0,
-                format=self._format_name,
-                threads=self.nworkers,
-                backend=self.backend,
-            )
         if failures:
             failures.sort(key=lambda f: f.thread)
             detail = "; ".join(f.describe() for f in failures)

@@ -94,8 +94,9 @@ def _plan_counters(format_name: str) -> tuple[int, int]:
     c = telemetry.get_collector()
     if c is None:
         return 0, 0
-    hits = c.counters.get(f"plan.hit{{format={format_name}}}", 0.0)
-    misses = c.counters.get(f"plan.miss{{format={format_name}}}", 0.0)
+    labels = {"format": format_name}
+    hits = c.counters.get(telemetry.metric_key("plan.hit", labels), 0.0)
+    misses = c.counters.get(telemetry.metric_key("plan.miss", labels), 0.0)
     return int(hits), int(misses)
 
 

@@ -23,8 +23,9 @@ State machine (the classic three states)::
 * **half-open** — after the cooldown one probe call is admitted; its
   outcome decides between closing (recovered) and re-opening.
 
-Every transition is emitted as a ``resilience.breaker.*`` telemetry
-counter and obs mark, so the SLO rule engine can alert on
+Every transition is emitted as one ``resilience.breaker.*`` telemetry
+counter, which also feeds the live view, so the SLO rule engine can
+alert on
 ``rate(resilience.breaker.open[10s]) > 0``.
 
 :class:`BreakerBoard` is the keyed registry executors use — one
@@ -43,7 +44,6 @@ import threading
 import time
 
 from repro.errors import BreakerOpenError, PartitionError
-from repro.obs import core as obs
 from repro.telemetry import core as telemetry
 
 __all__ = ["BreakerBoard", "CircuitBreaker"]
@@ -127,7 +127,6 @@ class CircuitBreaker:
             extra={"failures": self._consecutive_failures},
             key=self.key,
         )
-        obs.mark(f"resilience.breaker.{transition}", 1, key=self.key)
 
     def allow(self) -> bool:
         """May a call be attempted right now?

@@ -13,8 +13,8 @@ Each rung is guarded by its own circuit breaker
 keeps failing is skipped without being re-attempted every call, and —
 because open breakers cool down into half-open — a recovered upper
 rung is automatically re-probed and re-adopted.  Every transition is
-emitted as ``resilience.degrade`` telemetry and a
-``resilience.degrade.total`` obs counter (the default SLO rule set
+emitted as one ``resilience.degrade`` telemetry counter, whose live
+series is ``resilience.degrade.total`` (the default SLO rule set
 alerts on it), so degradation is always *visible*: the system never
 silently runs slower.
 
@@ -53,7 +53,6 @@ from repro.errors import (
 )
 from repro.formats.base import check_out_aliasing
 from repro.formats.conversions import to_csr
-from repro.obs import core as obs
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.robust.guard import GuardedKernel
@@ -275,14 +274,6 @@ class ResilientExecutor:
                 "error": type(exc).__name__,
             },
             format=self._format_name,
-        )
-        # The obs counter is literally named resilience.degrade.total so
-        # the stock SLO rule `resilience.degrade.total > 0` reads it.
-        obs.mark(
-            "resilience.degrade.total",
-            1,
-            backend=to_rung[0],
-            storage=to_rung[1],
         )
 
     # -- the call ----------------------------------------------------------

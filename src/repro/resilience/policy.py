@@ -43,7 +43,6 @@ from repro.errors import (
     PartitionError,
     StorageError,
 )
-from repro.obs import core as obs
 from repro.telemetry import core as telemetry
 
 __all__ = [
@@ -166,7 +165,6 @@ class Deadline:
                 extra={"budget_s": self.budget_s},
                 label=label,
             )
-            obs.mark("resilience.deadline.expired", 1, label=label)
             raise DeadlineExceeded(
                 f"deadline of {self.budget_s:g}s exhausted"
                 + (f" at {label}" if label else ""),

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.errors import EncodingError, FormatError, IntegrityError
 from repro.kernels.registry import fallback_chain
-from repro.obs import core as obs
 from repro.telemetry import core as telemetry
 
 #: Failure types a fallback may absorb.  Anything else (MemoryError,
@@ -91,9 +90,6 @@ class GuardedKernel:
                     },
                     format=self.format_name,
                 )
-                # Live rate signal: the default SLO rule set alerts on
-                # any nonzero fallback rate over 10s.
-                obs.mark("kernel.fallback", 1, format=self.format_name)
         raise IntegrityError(
             f"all {len(self.chain)} kernel tiers failed for "
             f"{self.format_name!r}; last error: {last_exc}"

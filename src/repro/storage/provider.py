@@ -38,7 +38,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import IntegrityError, StorageError
-from repro.obs import core as _obs
+from repro.telemetry import core as telemetry
 
 __all__ = [
     "FieldSpec",
@@ -179,19 +179,18 @@ def _views_from_buffer(
     (the ``ctl`` stream) require real ``bytes``, and the compressed
     index stream is the *small* side of the payload by design.
 
-    When a live obs runtime is installed, the per-field CRC re-hash
-    time is recorded into the ``storage.shard.verify.seconds``
-    histogram (one sample per attach); with observability off the
-    verify loop is untouched -- not even a clock read.
+    With telemetry on, the per-field CRC re-hash time is recorded as
+    one ``storage.shard.verify.seconds`` sample per attach; with it off
+    the verify loop is untouched -- not even a clock read.
     """
     out: dict[str, np.ndarray | bytes] = {}
     base = np.frombuffer(buf, dtype=np.uint8)
-    runtime = _obs.get_runtime() if verify else None
+    timed = verify and telemetry.enabled()
     verify_s = 0.0
     for spec in specs:
         raw = base[spec.offset : spec.offset + spec.nbytes]
         if verify:
-            if runtime is None:
+            if not timed:
                 ok = zlib.crc32(raw) == spec.crc32
             else:
                 t0 = time.perf_counter()
@@ -208,8 +207,8 @@ def _views_from_buffer(
             out[spec.name] = raw.tobytes()
         else:
             out[spec.name] = raw.view(np.dtype(spec.dtype)).reshape(spec.shape)
-    if runtime is not None:
-        runtime.observe(
+    if timed:
+        telemetry.observe(
             "storage.shard.verify.seconds",
             verify_s,
             storage=context.split(" ", 1)[0],

@@ -43,7 +43,6 @@ import numpy as np
 from repro.compress.encode_cache import ConvertCache, cached_convert
 from repro.errors import IntegrityError, StorageError
 from repro.formats.conversions import convert, to_csr
-from repro.obs import core as obs
 from repro.storage.codec import extract_fields, rebuild_matrix
 from repro.storage.provider import attach as provider_attach
 from repro.storage.provider import make_provider
@@ -76,14 +75,12 @@ def attach_shard(spec: dict, *, verify: bool = True):
     telemetry.count(
         "storage.shard.attach",
         1,
-        extra={"index": spec["index"], "storage": spec["handle"]["kind"]},
+        extra={
+            "index": spec["index"],
+            "storage": spec["handle"]["kind"],
+            "seconds": time.perf_counter() - t0,
+        },
         format=spec["meta"]["format"],
-    )
-    obs.mark("storage.shard.attach", 1, storage=spec["handle"]["kind"])
-    obs.observe(
-        "storage.shard.attach.seconds",
-        time.perf_counter() - t0,
-        storage=spec["handle"]["kind"],
     )
     return matrix
 
@@ -398,7 +395,6 @@ class ShardStore:
             extra={"index": i, "bytes": nbytes, "storage": self.storage},
             format=self.format_name,
         )
-        obs.mark("storage.shard.write", 1, storage=self.storage)
         if self.budget_bytes is not None and self.resident_bytes > self.budget_bytes:
             raise StorageError(
                 f"shard build exceeded budget_bytes={self.budget_bytes}: "
@@ -422,14 +418,12 @@ class ShardStore:
         telemetry.count(
             "storage.shard.attach",
             1,
-            extra={"index": i, "storage": self.storage},
+            extra={
+                "index": i,
+                "storage": self.storage,
+                "seconds": time.perf_counter() - t0,
+            },
             format=self.format_name,
-        )
-        obs.mark("storage.shard.attach", 1, storage=self.storage)
-        obs.observe(
-            "storage.shard.attach.seconds",
-            time.perf_counter() - t0,
-            storage=self.storage,
         )
         return matrix
 
@@ -448,32 +442,27 @@ class ShardStore:
                 f"shard {i} cannot be rebuilt: this store has no source "
                 "matrix (opened from a manifest or streamed)"
             )
-        t0 = time.perf_counter()
         lo, hi = self.rows_of(i)
         from repro.compress.encode_cache import DEFAULT_CACHE
 
         cache = self._cache if self._cache is not None else DEFAULT_CACHE
-        cache.invalidate(
-            self._source_csr,
-            self.format_name,
-            rows=(lo, hi),
-            **self.format_kwargs,
-        )
-        encoded = cached_convert(
-            self._source_csr,
-            self.format_name,
-            rows=(lo, hi),
-            cache=cache,
-            **self.format_kwargs,
-        )
-        self._store_shard(i, (lo, hi), encoded)
-        if self.storage == "mmap":
-            self.save_manifest()
-        obs.observe(
-            "storage.shard.rebuild.seconds",
-            time.perf_counter() - t0,
-            storage=self.storage,
-        )
+        with telemetry.span("storage.shard.rebuild", index=i, storage=self.storage):
+            cache.invalidate(
+                self._source_csr,
+                self.format_name,
+                rows=(lo, hi),
+                **self.format_kwargs,
+            )
+            encoded = cached_convert(
+                self._source_csr,
+                self.format_name,
+                rows=(lo, hi),
+                cache=cache,
+                **self.format_kwargs,
+            )
+            self._store_shard(i, (lo, hi), encoded)
+            if self.storage == "mmap":
+                self.save_manifest()
         return self.shards[i]
 
     def _check_index(self, i: int) -> None:

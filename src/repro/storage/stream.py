@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FormatError, StorageError
-from repro.obs import core as obs
 from repro.obs.resource import rss_bytes
 from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
@@ -172,7 +171,7 @@ def streamed_spmv(
     done_this_run = 0
     with telemetry.span(
         "storage.stream", shards=store.nshards, resumed_from=resumed_from
-    ):
+    ) as stream_span:
         for i in range(resumed_from, store.nshards):
             if deadline is not None:
                 deadline.check("stream.shard")
@@ -202,7 +201,6 @@ def streamed_spmv(
                     },
                     format=store.format_name,
                 )
-                obs.mark("executor.retry", 1, format=store.format_name)
 
             policy.run(
                 shard_pass,
@@ -227,21 +225,21 @@ def streamed_spmv(
                     progress_path,
                     {"fingerprint": fingerprint, "shards_done": i + 1},
                 )
-                # Checkpoint write lag: the fsync'd progress record plus
-                # the y flush -- the per-shard durability cost.
-                obs.observe(
-                    "storage.checkpoint.write.seconds",
-                    time.perf_counter() - ckpt_t0,
-                    storage=store.storage,
-                )
+                # seconds is the checkpoint write lag: the fsync'd
+                # progress record plus the y flush -- the per-shard
+                # durability cost.
                 telemetry.count(
                     "storage.stream.checkpoint",
                     1,
-                    extra={"shard": i, "rows_done": hi},
+                    extra={
+                        "shard": i,
+                        "rows_done": hi,
+                        "storage": store.storage,
+                        "seconds": time.perf_counter() - ckpt_t0,
+                    },
                     format=store.format_name,
                 )
-                obs.mark("storage.stream.checkpoint", 1, storage=store.storage)
-    obs.set_gauge("storage.stream.peak_rss_bytes", float(peak_rss))
+        stream_span.add(peak_rss_bytes=float(peak_rss))
     return StreamResult(
         y=y,
         shards_done=done_this_run,

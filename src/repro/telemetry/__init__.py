@@ -1,4 +1,4 @@
-"""Structured tracing and counters for the SpMV reproduction.
+"""The one recording API of the SpMV reproduction.
 
 The package answers *why* a table cell is what it is: which unit widths
 a matrix encodes into (CSR-DU), how large the unique-value table gets
@@ -10,8 +10,10 @@ and ``measure``.
 Usage::
 
     from repro import telemetry
+    from repro.obs import ObsRuntime
 
-    telemetry.configure()                 # enable a fresh collector
+    telemetry.configure()                 # event log on
+    telemetry.set_live(ObsRuntime())      # live aggregates on
     with telemetry.span("my.phase", matrix_id=7):
         ...
     telemetry.count("my.counter", 3, label="x")
@@ -20,13 +22,14 @@ Usage::
     print(summary(telemetry.get_collector()))
     write_jsonl(telemetry.get_collector(), "trace.jsonl")
 
-Disabled (the default), every entry point is a single attribute check
+Disabled (the default), every entry point is a single global check
 -- instrumentation stays in place at zero measurable cost, which the
 telemetry test suite pins down (results are bit-identical either way).
 
-Layout: :mod:`~repro.telemetry.core` (collector, spans, counters),
-:mod:`~repro.telemetry.metrics` (the domain event vocabulary),
-:mod:`~repro.telemetry.export` (JSONL / Chrome trace / summaries).
+Layout: :mod:`~repro.telemetry.core` (the sink, event log, spans,
+counters), :mod:`~repro.telemetry.metrics` (the event vocabulary and
+its live series), :mod:`~repro.telemetry.export` (JSONL / Chrome trace
+/ OpenMetrics / summaries).
 """
 
 from __future__ import annotations
@@ -35,12 +38,19 @@ from repro.telemetry.core import (
     NULL_SPAN,
     Collector,
     Event,
+    Sink,
     configure,
     count,
     enabled,
     gauge,
     get_collector,
+    get_live,
+    get_sink,
+    metric_key,
+    observe,
     set_collector,
+    set_live,
+    set_sink,
     span,
     traced,
 )
@@ -49,12 +59,19 @@ __all__ = [
     "NULL_SPAN",
     "Collector",
     "Event",
+    "Sink",
     "configure",
     "count",
     "enabled",
     "gauge",
     "get_collector",
+    "get_live",
+    "get_sink",
+    "metric_key",
+    "observe",
     "set_collector",
+    "set_live",
+    "set_sink",
     "span",
     "traced",
 ]

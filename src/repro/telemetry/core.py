@@ -1,24 +1,37 @@
-"""Telemetry core: a thread-safe event collector with nested spans.
+"""Telemetry core: the one recording API and its one sink.
 
-The collector records three kinds of events into one ordered stream:
+Instrumented code records through four module-level calls:
 
-* **spans** -- wall-clock intervals with a name, per-thread nesting
-  depth, and free-form attributes (context manager or decorator);
-* **counters** -- monotonically accumulated values, keyed by name plus
-  optional labels (``count("encode.csr_du.units", 12, width="u8")``);
-* **gauges** -- last-value-wins observations (e.g. a ttu ratio).
+* :func:`span` -- a wall-clock interval with a name and free-form
+  attributes (context manager, or the :func:`traced` decorator);
+* :func:`count` -- a counter increment keyed by name plus labels
+  (``count("encode.csr_du.units", 12, width="u8")``);
+* :func:`gauge` -- a last-value-wins observation (e.g. a ttu ratio);
+* :func:`observe` -- one histogram sample (e.g. a verify time).
 
-Telemetry is *disabled by default*: the module-level ``_collector`` is
-``None`` and every entry point (:func:`span`, :func:`count`,
-:func:`gauge`) checks that single attribute before doing anything else,
-so instrumented hot paths pay one attribute load plus one ``is None``
-test when tracing is off.  :func:`configure` installs a fresh
-:class:`Collector`; :func:`set_collector` swaps an explicit one in and
-returns the previous (for scoped enabling in tests and the CLI).
+Every call lands in one module-level :class:`Sink`, which feeds two
+views of the same events:
 
-Timestamps are microseconds since the collector's creation
-(``time.perf_counter_ns`` based), which is exactly what the Chrome
-trace-event export in :mod:`repro.telemetry.export` wants.
+* the **event log** (:class:`Collector`) -- the ordered stream behind
+  ``--trace``, chrome traces and summaries, plus per-key counter and
+  gauge aggregates;
+* the **live aggregates** (:class:`repro.obs.core.ObsRuntime`) --
+  streaming histograms, windowed counters and gauges for SLO rules and
+  OpenMetrics.  Which events reach them, under which live name and
+  labels, is declared in :data:`repro.telemetry.metrics.VOCABULARY`.
+
+Telemetry is *disabled by default*: the module-level ``_sink`` is
+``None`` and every entry point checks that single global before doing
+anything else, so instrumented hot paths pay one global load plus one
+``is None`` test when both views are off.  :func:`set_collector` and
+:func:`set_live` swap one view and return the previous (scoped
+enabling in tests and the CLI); :func:`set_sink` swaps both at once.
+
+Metric keys are ``(name, sorted label items)`` tuples everywhere
+(:func:`metric_key`).  Timestamps are microseconds since the
+collector's creation (``time.perf_counter_ns`` based), which is exactly
+what the Chrome trace-event export in :mod:`repro.telemetry.export`
+wants.
 """
 
 from __future__ import annotations
@@ -32,16 +45,30 @@ from typing import Any, Callable, Iterable
 __all__ = [
     "Event",
     "Collector",
+    "Sink",
     "NULL_SPAN",
+    "metric_key",
     "configure",
+    "get_sink",
+    "set_sink",
     "get_collector",
     "set_collector",
+    "get_live",
+    "set_live",
     "enabled",
     "span",
     "count",
     "gauge",
+    "observe",
     "traced",
 ]
+
+MetricKey = tuple[str, tuple[tuple[str, Any], ...]]
+
+
+def metric_key(name: str, labels: dict[str, Any]) -> MetricKey:
+    """The one aggregate key form: ``(name, sorted label items)``."""
+    return (name, tuple(sorted(labels.items())) if labels else ())
 
 
 @dataclass(frozen=True)
@@ -51,25 +78,26 @@ class Event:
     Attributes
     ----------
     kind:
-        ``"span"``, ``"counter"`` or ``"gauge"``.
+        ``"span"``, ``"counter"``, ``"gauge"`` or ``"sample"`` (one
+        histogram observation).
     name:
         Dotted event name (``"sim.spmv"``, ``"partition.nnz"``).
     ts_us:
         Start time in microseconds since the collector epoch (for
         spans the *start* of the interval, else the emission time).
     dur_us:
-        Span duration in microseconds; 0.0 for counters/gauges.
+        Span duration in microseconds; 0.0 for the other kinds.
     value:
-        Counter increment or gauge value; 0.0 for spans.
+        Counter increment, gauge value or sample; 0.0 for spans.
     thread:
         Name of the emitting thread.
     tid:
         Python thread ident of the emitting thread.
     depth:
         Span nesting depth *in the emitting thread* (0 = top level);
-        counters/gauges inherit the depth of the enclosing span.
+        other kinds inherit the depth of the enclosing span.
     attrs:
-        Free-form scalar attributes (labels for counters/gauges).
+        Free-form scalar attributes (labels plus payload).
     """
 
     kind: str
@@ -103,12 +131,12 @@ NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live span; created by :meth:`Collector.span`."""
+    """A live span; created by :meth:`Sink.span`."""
 
-    __slots__ = ("_collector", "name", "attrs", "_start_ns", "_depth")
+    __slots__ = ("_sink", "name", "attrs", "_start_ns", "_depth")
 
-    def __init__(self, collector: "Collector", name: str, attrs: dict[str, Any]):
-        self._collector = collector
+    def __init__(self, sink: "Sink", name: str, attrs: dict[str, Any]):
+        self._sink = sink
         self.name = name
         self.attrs = attrs
         self._start_ns = 0
@@ -120,24 +148,25 @@ class _Span:
         return self
 
     def __enter__(self) -> "_Span":
-        self._depth = self._collector._enter_span()
+        log = self._sink.log
+        if log is not None:
+            self._depth = log._enter_span()
         self._start_ns = time.perf_counter_ns()
         return self
 
-    def __exit__(self, *exc) -> bool:
-        end_ns = time.perf_counter_ns()
-        self._collector._exit_span(self, end_ns)
+    def __exit__(self, exc_type, *exc) -> bool:
+        self._sink._end_span(self, time.perf_counter_ns(), exc_type is None)
         return False
 
 
 class Collector:
-    """Thread-safe telemetry sink.
+    """The event log: a thread-safe ordered event stream.
 
     All mutation happens under one lock; per-thread nesting depth lives
     in a ``threading.local`` so concurrently open spans in different
-    threads do not interfere.  Aggregates (``counters``, ``gauges``)
-    are maintained alongside the raw event stream so a summary needs no
-    replay.
+    threads do not interfere.  Aggregates (``counters``, ``gauges``,
+    keyed by :func:`metric_key`) are maintained alongside the raw
+    stream so a summary needs no replay.
     """
 
     def __init__(self) -> None:
@@ -145,8 +174,8 @@ class Collector:
         self._local = threading.local()
         self._epoch_ns = time.perf_counter_ns()
         self._events: list[Event] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
+        self.counters: dict[MetricKey, float] = {}
+        self.gauges: dict[MetricKey, float] = {}
 
     # -- internal helpers --------------------------------------------------
     def _us(self, t_ns: int) -> float:
@@ -177,24 +206,27 @@ class Collector:
         with self._lock:
             self._events.append(ev)
 
-    @staticmethod
-    def _key(name: str, labels: dict[str, Any]) -> str:
-        if not labels:
-            return name
-        inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-        return f"{name}{{{inner}}}"
+    def _point(self, kind: str, name: str, value: float, attrs) -> Event:
+        t = threading.current_thread()
+        return Event(
+            kind=kind,
+            name=name,
+            ts_us=self._us(time.perf_counter_ns()),
+            dur_us=0.0,
+            value=float(value),
+            thread=t.name,
+            tid=t.ident or 0,
+            depth=self._depth(),
+            attrs=attrs,
+        )
 
-    # -- recording API -----------------------------------------------------
-    def span(self, name: str, **attrs) -> _Span:
-        """A context-manager span; enter starts the clock, exit records."""
-        return _Span(self, name, attrs)
-
+    # -- recording (called by the Sink) ------------------------------------
     def count(
         self,
         name: str,
-        value: float = 1.0,
-        extra: dict[str, Any] | None = None,
-        **labels,
+        value: float,
+        extra: dict[str, Any] | None,
+        labels: dict[str, Any],
     ) -> None:
         """Accumulate *value* onto the counter ``name`` + *labels*.
 
@@ -202,41 +234,26 @@ class Collector:
         the event only (e.g. per-call detail like row bounds) without
         splitting the counter into per-call keys.
         """
-        t = threading.current_thread()
-        ev = Event(
-            kind="counter",
-            name=name,
-            ts_us=self._us(time.perf_counter_ns()),
-            dur_us=0.0,
-            value=float(value),
-            thread=t.name,
-            tid=t.ident or 0,
-            depth=self._depth(),
-            attrs={**labels, **extra} if extra else labels,
+        ev = self._point(
+            "counter", name, value, {**labels, **extra} if extra else labels
         )
-        key = self._key(name, labels)
+        key = metric_key(name, labels)
         with self._lock:
             self._events.append(ev)
             self.counters[key] = self.counters.get(key, 0.0) + float(value)
 
-    def gauge(self, name: str, value: float, **labels) -> None:
+    def gauge(self, name: str, value: float, labels: dict[str, Any]) -> None:
         """Record the current *value* of ``name`` (last write wins)."""
-        t = threading.current_thread()
-        ev = Event(
-            kind="gauge",
-            name=name,
-            ts_us=self._us(time.perf_counter_ns()),
-            dur_us=0.0,
-            value=float(value),
-            thread=t.name,
-            tid=t.ident or 0,
-            depth=self._depth(),
-            attrs=labels,
-        )
-        key = self._key(name, labels)
+        ev = self._point("gauge", name, value, labels)
         with self._lock:
             self._events.append(ev)
-            self.gauges[key] = float(value)
+            self.gauges[metric_key(name, labels)] = float(value)
+
+    def sample(self, name: str, value: float, labels: dict[str, Any]) -> None:
+        """Log one histogram sample (the histogram itself lives live)."""
+        ev = self._point("sample", name, value, labels)
+        with self._lock:
+            self._events.append(ev)
 
     # -- cross-process ingestion -------------------------------------------
     @property
@@ -251,8 +268,8 @@ class Collector:
     def ingest(
         self,
         events: Iterable[Event],
-        counters: dict[str, float] | None = None,
-        gauges: dict[str, float] | None = None,
+        counters: dict[MetricKey, float] | None = None,
+        gauges: dict[MetricKey, float] | None = None,
     ) -> int:
         """Append externally-recorded *events* and fold in aggregates.
 
@@ -260,20 +277,16 @@ class Collector:
         rebasing ``ts_us`` onto this collector's epoch first (see
         :func:`repro.obs.xproc.ingest_payload`).  *counters*/*gauges*
         are the source collector's aggregate dicts: counter totals are
-        summed into ours under the same string keys, gauges are
+        summed into ours under the same keys, gauges are
         last-write-wins.  Returns the number of events appended.
         """
         events = list(events)
         with self._lock:
             self._events.extend(events)
-            if counters:
-                for key, value in counters.items():
-                    self.counters[key] = self.counters.get(key, 0.0) + float(
-                        value
-                    )
-            if gauges:
-                for key, value in gauges.items():
-                    self.gauges[key] = float(value)
+            for key, value in (counters or {}).items():
+                self.counters[key] = self.counters.get(key, 0.0) + float(value)
+            for key, value in (gauges or {}).items():
+                self.gauges[key] = float(value)
         return len(events)
 
     # -- inspection --------------------------------------------------------
@@ -294,56 +307,137 @@ class Collector:
             return len(self._events)
 
 
-# ---------------------------------------------------------------------------
-# Module-level surface: one attribute check when disabled.
-# ---------------------------------------------------------------------------
+class Sink:
+    """The one recording sink: routes each event to the enabled views.
 
-_collector: Collector | None = None
-
-
-def configure(enabled: bool = True) -> Collector | None:
-    """Install a fresh :class:`Collector` (or disable telemetry).
-
-    Returns the new collector (``None`` when disabling).
+    *log* is the event log (a :class:`Collector`) and *live* the live
+    aggregates -- any object with ``record(name, value, attrs)``, in
+    practice :class:`repro.obs.core.ObsRuntime`, which maps the event
+    onto its declared live series.  At least one is set: with both off
+    there is no sink at all.  A span reaches the live view only when it
+    exits without an exception (a failed chunk is not a latency
+    sample); the log records it either way.
     """
-    global _collector
-    _collector = Collector() if enabled else None
-    return _collector
+
+    __slots__ = ("log", "live")
+
+    def __init__(self, log: Collector | None = None, live=None) -> None:
+        self.log = log
+        self.live = live
+
+    def span(self, name: str, attrs: dict[str, Any]) -> _Span:
+        return _Span(self, name, attrs)
+
+    def _end_span(self, sp: _Span, end_ns: int, ok: bool) -> None:
+        if self.log is not None:
+            self.log._exit_span(sp, end_ns)
+        if ok and self.live is not None:
+            self.live.record(sp.name, (end_ns - sp._start_ns) / 1e9, sp.attrs)
+
+    def count(
+        self,
+        name: str,
+        value: float,
+        extra: dict[str, Any] | None,
+        labels: dict[str, Any],
+    ) -> None:
+        if self.log is not None:
+            self.log.count(name, value, extra, labels)
+        if self.live is not None:
+            self.live.record(
+                name, value, {**labels, **extra} if extra else labels
+            )
+
+    def gauge(self, name: str, value: float, labels: dict[str, Any]) -> None:
+        if self.log is not None:
+            self.log.gauge(name, value, labels)
+        if self.live is not None:
+            self.live.record(name, value, labels)
+
+    def observe(self, name: str, value: float, labels: dict[str, Any]) -> None:
+        if self.log is not None:
+            self.log.sample(name, value, labels)
+        if self.live is not None:
+            self.live.record(name, value, labels)
 
 
-def get_collector() -> Collector | None:
-    """The active collector, or ``None`` when telemetry is disabled."""
-    return _collector
+# ---------------------------------------------------------------------------
+# Module-level surface: one global check when disabled.
+# ---------------------------------------------------------------------------
+
+_sink: Sink | None = None
 
 
-def set_collector(collector: Collector | None) -> Collector | None:
-    """Swap the active collector; returns the previous one.
+def get_sink() -> Sink | None:
+    """The active sink, or ``None`` when both views are off."""
+    return _sink
+
+
+def set_sink(sink: Sink | None) -> Sink | None:
+    """Swap the whole sink (both views); returns the previous one.
 
     The swap-and-restore idiom keeps telemetry scoped::
 
-        prev = set_collector(Collector())
+        prev = set_sink(Sink(Collector(), runtime))
         try:
             ...
         finally:
-            set_collector(prev)
+            set_sink(prev)
     """
-    global _collector
-    prev = _collector
-    _collector = collector
+    global _sink
+    prev = _sink
+    if sink is not None and sink.log is None and sink.live is None:
+        sink = None
+    _sink = sink
     return prev
 
 
+def get_collector() -> Collector | None:
+    """The active event log, or ``None`` when tracing is off."""
+    s = _sink
+    return None if s is None else s.log
+
+
+def set_collector(collector: Collector | None) -> Collector | None:
+    """Swap the event log (live view untouched); returns the previous."""
+    prev = get_collector()
+    set_sink(Sink(collector, get_live()))
+    return prev
+
+
+def get_live():
+    """The active live aggregates, or ``None`` when live metrics are off."""
+    s = _sink
+    return None if s is None else s.live
+
+
+def set_live(live):
+    """Swap the live aggregates (log untouched); returns the previous."""
+    prev = get_live()
+    set_sink(Sink(get_collector(), live))
+    return prev
+
+
+def configure(enabled: bool = True) -> Collector | None:
+    """Install a fresh :class:`Collector` as the event log (or drop it).
+
+    Returns the new collector (``None`` when disabling).
+    """
+    set_collector(Collector() if enabled else None)
+    return get_collector()
+
+
 def enabled() -> bool:
-    """True when a collector is installed."""
-    return _collector is not None
+    """True when either view is on."""
+    return _sink is not None
 
 
 def span(name: str, **attrs):
-    """A span on the active collector, or the shared no-op span."""
-    c = _collector
-    if c is None:
+    """A span on the active sink, or the shared no-op span."""
+    s = _sink
+    if s is None:
         return NULL_SPAN
-    return c.span(name, **attrs)
+    return s.span(name, attrs)
 
 
 def count(
@@ -352,23 +446,33 @@ def count(
     extra: dict[str, Any] | None = None,
     **labels,
 ) -> None:
-    """Accumulate a counter on the active collector (no-op if disabled)."""
-    c = _collector
-    if c is not None:
-        c.count(name, value, extra, **labels)
+    """Accumulate a counter (no-op if disabled).
+
+    *labels* key the aggregate; *extra* rides on the event only.
+    """
+    s = _sink
+    if s is not None:
+        s.count(name, value, extra, labels)
 
 
 def gauge(name: str, value: float, **labels) -> None:
-    """Record a gauge on the active collector (no-op if disabled)."""
-    c = _collector
-    if c is not None:
-        c.gauge(name, value, **labels)
+    """Record a gauge (no-op if disabled)."""
+    s = _sink
+    if s is not None:
+        s.gauge(name, value, labels)
+
+
+def observe(name: str, value: float, **labels) -> None:
+    """Record one histogram sample (no-op if disabled)."""
+    s = _sink
+    if s is not None:
+        s.observe(name, value, labels)
 
 
 def traced(name: str | None = None) -> Callable:
     """Decorator wrapping a function call in a span.
 
-    The collector is looked up *at call time*, so decorating a function
+    The sink is looked up *at call time*, so decorating a function
     costs nothing while telemetry stays disabled::
 
         @traced("encode.csr_du.unitize")
@@ -380,10 +484,10 @@ def traced(name: str | None = None) -> Callable:
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            c = _collector
-            if c is None:
+            s = _sink
+            if s is None:
                 return func(*args, **kwargs)
-            with c.span(span_name):
+            with s.span(span_name, {}):
                 return func(*args, **kwargs)
 
         return wrapper

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import TelemetryError
-from repro.telemetry.core import Collector, Event
+from repro.telemetry import core
+from repro.telemetry.core import Collector, Event, MetricKey
 
 #: JSONL event fields and the types each must carry.
 EVENT_FIELDS: dict[str, type | tuple[type, ...]] = {
@@ -35,7 +36,7 @@ EVENT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "attrs": dict,
 }
 
-EVENT_KINDS = ("span", "counter", "gauge")
+EVENT_KINDS = ("span", "counter", "gauge", "sample")
 
 
 def validate_event(event: dict[str, Any]) -> None:
@@ -194,19 +195,26 @@ def span_stats(collector: Collector) -> dict[str, dict[str, float]]:
     return stats
 
 
+def format_key(key: MetricKey) -> str:
+    """``plan.hit{format=csr-du}``: a metric key as display text."""
+    name, labels = key
+    if not labels:
+        return name
+    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+
+
 def counter_breakdown(
-    counters: dict[str, float],
-) -> dict[str, dict[str, float]]:
-    """Counters regrouped by base name: ``{base: {full_key: value}}``.
+    counters: dict[MetricKey, float],
+) -> dict[str, dict[MetricKey, float]]:
+    """Counters regrouped by base name: ``{base: {key: value}}``.
 
     ``plan.hit{format=csr-du}`` and ``plan.hit{format=csr-vi}`` share
     the base ``plan.hit``; summing a base's values gives its total
     across labels.
     """
-    groups: dict[str, dict[str, float]] = {}
+    groups: dict[str, dict[MetricKey, float]] = {}
     for key, value in counters.items():
-        base = key.split("{", 1)[0]
-        groups.setdefault(base, {})[key] = value
+        groups.setdefault(key[0], {})[key] = value
     return groups
 
 
@@ -315,48 +323,44 @@ def summary(collector: Collector, *, top: int = 20) -> str:
         lines.append("")
         lines.append("counters")
         for base, keyed in sorted(counter_breakdown(collector.counters).items()):
-            if len(keyed) == 1 and base in keyed:
-                lines.append(f"  {base:<48} {keyed[base]:>14g}")
+            if list(keyed) == [(base, ())]:
+                lines.append(f"  {base:<48} {keyed[(base, ())]:>14g}")
                 continue
             lines.append(f"  {base:<48} {sum(keyed.values()):>14g}")
-            for key in sorted(keyed):
-                lines.append(f"    {key:<46} {keyed[key]:>14g}")
+            for text, value in sorted(
+                (format_key(k), v) for k, v in keyed.items()
+            ):
+                lines.append(f"    {text:<46} {value:>14g}")
     if collector.gauges:
         lines.append("")
         lines.append("gauges")
-        for key in sorted(collector.gauges):
-            lines.append(f"  {key:<48} {collector.gauges[key]:>14g}")
+        for text, value in sorted(
+            (format_key(k), v) for k, v in collector.gauges.items()
+        ):
+            lines.append(f"  {text:<48} {value:>14g}")
     return "\n".join(lines)
 
 
 def collector_metrics_snapshot(collector: Collector) -> dict[str, Any]:
-    """The collector's aggregates as an obs-shaped snapshot dict.
+    """The event log's aggregates as a live-shaped snapshot dict.
 
     Lets :func:`export_all` render OpenMetrics even when no live
-    :class:`~repro.obs.core.ObsRuntime` was installed: counters and
-    gauges export with their labels parsed back out of the aggregate
-    keys (no histograms or rates -- those only exist live).
+    aggregates were installed: counters and gauges export with the
+    labels of their keys (no histograms or rates -- those only exist
+    live).
     """
-    def split(key: str) -> tuple[str, dict[str, str]]:
-        if "{" not in key:
-            return key, {}
-        base, inner = key.split("{", 1)
-        labels: dict[str, str] = {}
-        for part in inner.rstrip("}").split(","):
-            if "=" in part:
-                k, v = part.split("=", 1)
-                labels[k] = v
-        return base, labels
+    def rows(aggregates: dict[MetricKey, float], field: str) -> list[dict]:
+        ordered = sorted(aggregates.items(), key=lambda kv: format_key(kv[0]))
+        return [
+            {"name": name, "labels": dict(labels), field: value}
+            for (name, labels), value in ordered
+        ]
 
-    counters = []
-    for key, value in sorted(collector.counters.items()):
-        name, labels = split(key)
-        counters.append({"name": name, "labels": labels, "total": value})
-    gauges = []
-    for key, value in sorted(collector.gauges.items()):
-        name, labels = split(key)
-        gauges.append({"name": name, "labels": labels, "value": value})
-    return {"counters": counters, "gauges": gauges, "histograms": []}
+    return {
+        "counters": rows(collector.counters, "total"),
+        "gauges": rows(collector.gauges, "value"),
+        "histograms": [],
+    }
 
 
 def write_openmetrics(
@@ -364,16 +368,15 @@ def write_openmetrics(
 ) -> int:
     """Write an OpenMetrics snapshot; returns the sample-line count.
 
-    The active (or given) obs runtime supplies the full live state --
+    The given (or active) live aggregates supply the full state --
     histograms with quantiles, windowed rates, resource gauges, fired
-    alerts.  Without one, the collector's own counter/gauge aggregates
+    alerts.  Without them, the event log's own counter/gauge aggregates
     are rendered so ``--metrics-out`` degrades gracefully instead of
     writing an empty file.
     """
-    from repro.obs import core as obs_core
     from repro.obs.openmetrics import render_openmetrics
 
-    runtime = obs_runtime if obs_runtime is not None else obs_core.get_runtime()
+    runtime = obs_runtime if obs_runtime is not None else core.get_live()
     if runtime is not None:
         text = runtime.render_openmetrics()
     else:
@@ -404,10 +407,3 @@ def export_all(
             collector, openmetrics_path, obs_runtime=obs_runtime
         )
     return written
-
-
-def iter_validated(events: Iterable[dict[str, Any]]) -> Iterable[dict[str, Any]]:
-    """Yield events, validating each (for streaming consumers)."""
-    for ev in events:
-        validate_event(ev)
-        yield ev

@@ -11,7 +11,7 @@ from repro.compress.encode_cache import (
 )
 from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
-from repro.telemetry import Collector, set_collector
+from repro.telemetry import Collector, metric_key, set_collector
 from tests.conftest import random_sparse_dense
 
 
@@ -105,8 +105,9 @@ class TestConvertCache:
         cache = ConvertCache()
         cache.get_or_convert(csr, "csr-du")
         cache.get_or_convert(csr, "csr-du")
-        assert collector.counters["convert.cache.miss{format=csr-du}"] == 1
-        assert collector.counters["convert.cache.hit{format=csr-du}"] == 1
+        labels = {"format": "csr-du"}
+        assert collector.counters[metric_key("convert.cache.miss", labels)] == 1
+        assert collector.counters[metric_key("convert.cache.hit", labels)] == 1
 
     def test_cached_convert_accepts_explicit_cache(self, csr):
         cache = ConvertCache()

@@ -16,7 +16,7 @@ from repro.kernels.plan import (
     has_plan,
 )
 from repro.kernels.registry import available_kernels, get_kernel
-from repro.telemetry.core import Collector, set_collector
+from repro.telemetry.core import Collector, metric_key, set_collector
 from tests.conftest import random_sparse_dense
 
 
@@ -108,8 +108,9 @@ class TestPlanTelemetry:
             get_plan(du)
         finally:
             set_collector(prev)
-        assert collector.counters.get("plan.miss{format=csr-du}") == 1
-        assert collector.counters.get("plan.hit{format=csr-du}") == 2
+        labels = {"format": "csr-du"}
+        assert collector.counters.get(metric_key("plan.miss", labels)) == 1
+        assert collector.counters.get(metric_key("plan.hit", labels)) == 2
         spans = [e for e in collector.snapshot() if e.kind == "span"]
         assert [s.name for s in spans] == ["plan.build"]
         assert spans[0].attrs["format"] == "csr-du"

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro import obs, telemetry
+from repro import telemetry
 from repro.obs.core import ObsRuntime
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.resource import ResourceMonitor, gc_collections, rss_bytes
@@ -123,46 +123,80 @@ class TestRules:
 
 class TestModuleSurface:
     def test_disabled_by_default_noop(self):
-        assert obs.get_runtime() is None
-        assert not obs.enabled()
+        assert telemetry.get_live() is None
+        assert not telemetry.enabled()
         # Must not raise, must not create any state.
-        obs.observe("h", 1.0)
-        obs.mark("c")
-        obs.set_gauge("g", 1.0)
+        telemetry.observe("storage.shard.verify.seconds", 1.0)
+        telemetry.count("kernel.fallback")
+        telemetry.gauge("obs.resource.threads", 1.0)
 
     def test_set_runtime_scoping(self):
         rt = ObsRuntime()
-        prev = obs.set_runtime(rt)
+        prev = telemetry.set_live(rt)
         try:
-            assert obs.enabled()
-            obs.observe("h", 0.5)
-            obs.mark("c", 2)
-            obs.set_gauge("g", 3.0)
+            assert telemetry.enabled()
+            assert telemetry.get_collector() is None
+            telemetry.observe("storage.shard.verify.seconds", 0.5, storage="shm")
+            telemetry.count("kernel.fallback", 2, format="csr")
+            telemetry.gauge("obs.resource.threads", 3.0)
             snap = rt.snapshot()
             assert snap["histograms"][0]["count"] == 1
             assert snap["counters"][0]["total"] == 2.0
             assert snap["gauges"][0]["value"] == 3.0
         finally:
-            obs.set_runtime(prev)
+            telemetry.set_live(prev)
             rt.close()
-        assert obs.get_runtime() is prev
+        assert telemetry.get_live() is prev
 
     def test_configure_swaps_and_disables(self):
-        prev = obs.get_runtime()
+        rt = ObsRuntime()
+        prev = telemetry.set_live(rt)
         try:
-            rt = obs.configure()
-            assert obs.get_runtime() is rt
-            assert obs.configure(enabled=False) is None
-            assert obs.get_runtime() is None
+            collector = telemetry.configure()
+            sink = telemetry.get_sink()
+            assert (sink.log, sink.live) == (collector, rt)
+            assert telemetry.configure(enabled=False) is None
+            assert telemetry.get_live() is rt
+            telemetry.set_live(None)
+            assert telemetry.get_sink() is None
         finally:
-            obs.set_runtime(prev)
+            telemetry.set_live(prev)
+            rt.close()
+
+    def test_undeclared_names_stay_out_of_live_view(self, runtime):
+        prev = telemetry.set_live(runtime)
+        try:
+            telemetry.count("plan.hit", 1, format="csr")
+            telemetry.observe("not.in.vocabulary", 1.0)
+        finally:
+            telemetry.set_live(prev)
+        snap = runtime.snapshot()
+        assert snap["counters"] == [] and snap["histograms"] == []
+
+    def test_declared_label_rename(self, runtime):
+        prev = telemetry.set_live(runtime)
+        try:
+            telemetry.count(
+                "resilience.degrade",
+                1,
+                extra={"to_backend": "thread", "to_storage": "mem"},
+                format="csr",
+            )
+        finally:
+            telemetry.set_live(prev)
+        (counter,) = runtime.snapshot()["counters"]
+        assert counter["name"] == "resilience.degrade.total"
+        assert counter["labels"] == {"backend": "thread", "storage": "mem"}
 
 
 class TestResourceMonitor:
     def test_sample_once_sets_gauges(self):
         rt = ObsRuntime()
-        mon = ResourceMonitor(rt)
-        values = mon.sample_once()
+        prev = telemetry.set_live(rt)
+        try:
+            values = ResourceMonitor().sample_once()
+        finally:
+            telemetry.set_live(prev)
         assert values["obs.resource.rss_bytes"] > 0
         assert values["obs.resource.threads"] >= 1
         names = {g["name"] for g in rt.snapshot()["gauges"]}
@@ -188,7 +222,7 @@ class TestResourceMonitor:
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            ResourceMonitor(ObsRuntime(), interval_s=0)
+            ResourceMonitor(interval_s=0)
 
 
 class TestProfiler:
@@ -255,13 +289,13 @@ class TestExecutorWiring:
         csr = CSRMatrix.from_dense(dense)
         x = rng.random(64)
         rt = ObsRuntime()
-        prev = obs.set_runtime(rt)
+        prev = telemetry.set_live(rt)
         try:
             with ParallelSpMV(csr, 2, format_name="csr-du") as par:
                 par(x)
                 par(x)
         finally:
-            obs.set_runtime(prev)
+            telemetry.set_live(prev)
             rt.close()
         snap = rt.snapshot()
         chunk = [
@@ -291,10 +325,10 @@ class TestExecutorWiring:
 
         baseline = run()
         rt = ObsRuntime()
-        prev = obs.set_runtime(rt)
+        prev = telemetry.set_live(rt)
         try:
             with_obs = run()
         finally:
-            obs.set_runtime(prev)
+            telemetry.set_live(prev)
             rt.close()
         assert np.array_equal(baseline, with_obs)

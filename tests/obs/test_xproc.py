@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, telemetry
+from repro import telemetry
 from repro.formats.csr import CSRMatrix
 from repro.obs.core import ObsRuntime
 from repro.obs.histogram import DEFAULT_GROWTH, StreamingHistogram
@@ -23,7 +23,7 @@ from repro.obs.xproc import (
     ingest_payload,
 )
 from repro.parallel.process_executor import ProcessParallelSpMV
-from repro.telemetry import Collector
+from repro.telemetry import Collector, Sink, metric_key
 from tests.conftest import random_sparse_dense
 
 #: Documented geometric-midpoint percentile bound: sqrt(growth) - 1.
@@ -138,28 +138,24 @@ class TestRuntimeShards:
 
 class TestTraceContext:
     def test_none_when_both_sinks_off(self):
-        assert telemetry.get_collector() is None
-        assert obs.get_runtime() is None
+        assert telemetry.get_sink() is None
         assert TraceContext.capture(run_id="r") is None
         assert current_context(run_id="r") is None
 
     def test_captures_enablement_and_wire_round_trip(self):
         rt = ObsRuntime(rules=(), histogram_growth=2.0)
-        prev_rt = obs.set_runtime(rt)
-        prev = telemetry.set_collector(Collector())
+        prev = telemetry.set_sink(Sink(Collector(), rt))
         try:
             wire = current_context(
                 run_id="abc", parent="parallel.spmv", worker=3, nnz=17
             )
         finally:
-            telemetry.set_collector(prev)
-            obs.set_runtime(prev_rt)
+            telemetry.set_sink(prev)
             rt.close()
         ctx = TraceContext.from_wire(json.loads(json.dumps(wire)))
         assert ctx.run_id == "abc"
         assert ctx.worker == 3
-        assert ctx.telemetry and ctx.obs
-        assert ctx.histogram_growth == 2.0
+        assert ctx.log and ctx.live == 2.0
         assert ctx.attrs == {"nnz": 17}
 
     def test_telemetry_only_capture(self):
@@ -168,41 +164,37 @@ class TestTraceContext:
             ctx = TraceContext.capture(run_id="r")
         finally:
             telemetry.set_collector(prev)
-        assert ctx.telemetry and not ctx.obs
+        assert ctx.log and ctx.live is None
 
 
 class TestWorkerTelemetry:
     def test_scoped_sinks_and_payload(self):
-        ctx = TraceContext(
-            run_id="rid", worker=2, telemetry_on=True, obs_on=True
-        )
-        assert telemetry.get_collector() is None
+        ctx = TraceContext(run_id="rid", worker=2, log=True, live=DEFAULT_GROWTH)
+        assert telemetry.get_sink() is None
         with WorkerTelemetry(ctx) as wt:
-            assert telemetry.get_collector() is wt.collector
-            assert obs.get_runtime() is wt.runtime
+            assert telemetry.get_sink() is wt.sink
             telemetry.count("storage.shard.cache.miss", 1, storage="shm")
-            obs.observe("spmv.chunk.seconds", 0.5, backend="process")
+            telemetry.observe("storage.shard.verify.seconds", 0.5, storage="shm")
             payload = wt.payload()
-        assert telemetry.get_collector() is None
-        assert obs.get_runtime() is None
+        assert telemetry.get_sink() is None
         assert payload["run_id"] == "rid"
         assert payload["worker"] == 2
         assert payload["pid"] == os.getpid()
-        assert len(payload["events"]) == 1
+        assert len(payload["events"]) == 2
         assert payload["counters"] == {
-            "storage.shard.cache.miss{storage=shm}": 1.0
+            metric_key("storage.shard.cache.miss", {"storage": "shm"}): 1.0
         }
         (item,) = payload["shards"]["histograms"]
-        assert item["name"] == "spmv.chunk.seconds"
+        assert item["name"] == "storage.shard.verify.seconds"
         assert item["shard"]["count"] == 1
+        (item,) = payload["shards"]["counters"]
+        assert item["name"] == "storage.shard.cache.miss"
 
     def test_honors_custom_histogram_growth(self):
-        ctx = TraceContext(
-            run_id="r", telemetry_on=False, obs_on=True, histogram_growth=2.0
-        )
+        ctx = TraceContext(run_id="r", log=False, live=2.0)
         with WorkerTelemetry(ctx) as wt:
-            assert wt.collector is None
-            assert wt.runtime.histogram_growth == 2.0
+            assert wt.sink.log is None
+            assert wt.sink.live.histogram_growth == 2.0
             payload = wt.payload()
         assert "events" not in payload
         assert payload["shards"] == {
@@ -214,14 +206,14 @@ class TestWorkerTelemetry:
 
 class TestIngestPayload:
     def _payload(self):
-        ctx = TraceContext(
-            run_id="r", worker=1, telemetry_on=True, obs_on=True
-        )
+        ctx = TraceContext(run_id="r", worker=1, log=True, live=DEFAULT_GROWTH)
         with WorkerTelemetry(ctx) as wt:
-            with telemetry.span("parallel.chunk", thread=1, pid=1234):
-                obs.observe("spmv.chunk.seconds", 0.1, backend="process")
+            with telemetry.span(
+                "parallel.chunk", thread=1, pid=1234, backend="process"
+            ):
+                pass
             telemetry.count("storage.shard.cache.hit", 2, storage="shm")
-            return wt.payload(), wt.collector.epoch_ns
+            return wt.payload(), wt.sink.log.epoch_ns
 
     def test_rebases_and_stamps_events(self):
         payload, worker_epoch = self._payload()
@@ -242,9 +234,11 @@ class TestIngestPayload:
         assert events[0].attrs["pid"] == 1234
         assert events[1].attrs["pid"] == os.getpid()
         assert parent.counters == {
-            "storage.shard.cache.hit{storage=shm}": 2.0
+            metric_key("storage.shard.cache.hit", {"storage": "shm"}): 2.0
         }
+        # The worker's chunk span was its one spmv.chunk.seconds sample.
         (hist,) = snap["histograms"]
+        assert hist["name"] == "spmv.chunk.seconds"
         assert hist["count"] == 1
 
     def test_defaults_to_ambient_sinks_and_tolerates_none(self):
@@ -272,9 +266,8 @@ class TestForkBoundaryMerge:
         csr = CSRMatrix.from_dense(dense)
         x = np.random.default_rng(5).random(96)
         runtime = ObsRuntime(rules=())
-        prev_rt = obs.set_runtime(runtime)
         collector = Collector()
-        prev = telemetry.set_collector(collector)
+        prev = telemetry.set_sink(Sink(collector, runtime))
         try:
             with ProcessParallelSpMV(
                 csr, self.NWORKERS, format_name="csr"
@@ -284,8 +277,7 @@ class TestForkBoundaryMerge:
             events = collector.snapshot()
             snap = runtime.snapshot()
         finally:
-            telemetry.set_collector(prev)
-            obs.set_runtime(prev_rt)
+            telemetry.set_sink(prev)
             runtime.close()
         assert np.allclose(y, csr.spmv(x), rtol=1e-13, atol=1e-13)
         return events, snap
@@ -321,16 +313,15 @@ class TestForkBoundaryMerge:
 
     def test_merged_percentiles_within_documented_bound(self, merged):
         events, snap = merged
-        # The parent's parallel.chunk counter events echo the exact
-        # worker-measured seconds each worker also observed into its
-        # own histogram shard, so the merged percentiles must agree
-        # with numpy's nearest-rank over those raw samples within the
-        # bucket bound.
+        # Each worker's parallel.chunk span is logged and, in the same
+        # call, sampled into its own histogram shard, so the merged
+        # percentiles must agree with numpy's nearest-rank over the
+        # logged span durations within the bucket bound.
         raw = np.array(
             [
-                e.attrs["seconds"]
+                e.dur_us / 1e6
                 for e in events
-                if e.kind == "counter" and e.name == "parallel.chunk"
+                if e.kind == "span" and e.name == "parallel.chunk"
             ]
         )
         assert len(raw) == self.NWORKERS * self.CALLS

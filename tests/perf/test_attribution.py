@@ -16,6 +16,7 @@ from repro.perf.attribution import (
     record,
 )
 from repro.perf.bytes import bytes_per_iteration
+from repro.telemetry import metric_key
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,10 @@ class TestTelemetry:
         assert attrs["bytes_per_iter"] == att.bytes_per_iter
         assert attrs["roofline_pct"] == pytest.approx(att.roofline_pct)
         assert attrs["bound"] == att.bound
-        key = "perf.attribution{format=csr,placement=spread,threads=4}"
+        key = metric_key(
+            "perf.attribution",
+            {"format": "csr", "placement": "spread", "threads": 4},
+        )
         assert collector.counters[key] == 1
 
     def test_plan_counters_flow_into_record(

@@ -11,7 +11,7 @@ from repro import telemetry
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
-from repro.telemetry import Collector, set_collector
+from repro.telemetry import Collector, metric_key, set_collector
 from repro.telemetry.core import NULL_SPAN
 from tests.conftest import random_sparse_dense
 
@@ -130,21 +130,21 @@ class TestCountersAndGauges:
         telemetry.count("units", 3, width="u8")
         telemetry.count("units", 2, width="u8")
         telemetry.count("units", 5, width="u16")
-        assert collector.counters["units{width=u8}"] == 5
-        assert collector.counters["units{width=u16}"] == 5
+        assert collector.counters[metric_key("units", {"width": "u8"})] == 5
+        assert collector.counters[metric_key("units", {"width": "u16"})] == 5
         assert len(collector.snapshot()) == 3
 
     def test_counter_extra_attrs_do_not_split_key(self, collector):
         telemetry.count("nnz", 10, extra={"lo": 0, "hi": 5}, thread=0)
         telemetry.count("nnz", 20, extra={"lo": 5, "hi": 9}, thread=0)
-        assert collector.counters == {"nnz{thread=0}": 30}
+        assert collector.counters == {metric_key("nnz", {"thread": 0}): 30}
         lows = [ev.attrs["lo"] for ev in collector.snapshot()]
         assert lows == [0, 5]
 
     def test_gauge_last_wins(self, collector):
         telemetry.gauge("ttu", 3.0)
         telemetry.gauge("ttu", 8.5)
-        assert collector.gauges["ttu"] == 8.5
+        assert collector.gauges[("ttu", ())] == 8.5
 
     def test_clear(self, collector):
         telemetry.count("c")
@@ -174,7 +174,7 @@ class TestThreadSafety:
         events = collector.snapshot()
         assert len(events) == n_threads * per_thread * 2
         for t in range(n_threads):
-            assert collector.counters[f"iters{{thread={t}}}"] == per_thread
+            assert collector.counters[metric_key("iters", {"thread": t})] == per_thread
         # Depth is tracked per thread: a counter inside a span sits at 1.
         assert all(
             ev.depth == 1 for ev in events if ev.kind == "counter"

@@ -230,7 +230,8 @@ class TestOpenMetricsExport:
         snap = collector_metrics_snapshot(collector)
         (entry,) = snap["counters"]
         assert entry["name"] == "c"
-        assert entry["labels"] == {"format": "csr-du", "thread": "3"}
+        # Labels come straight off the tuple key, types intact.
+        assert entry["labels"] == {"format": "csr-du", "thread": 3}
         assert snap["histograms"] == []
 
     def test_export_all_includes_openmetrics(self, collector, tmp_path):

@@ -11,6 +11,7 @@ from repro.formats.csr import CSRMatrix
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core
 from repro.parallel.partition import row_partition
+from repro.telemetry.core import metric_key
 from repro.telemetry.metrics import KNOWN_EVENTS, WIDTH_LABELS
 from tests.conftest import random_sparse_dense
 
@@ -26,21 +27,21 @@ class TestCsrDuEncodeMetrics:
         width_counts = {
             key: v
             for key, v in collector.counters.items()
-            if key.startswith("encode.csr_du.units")
+            if key[0] == "encode.csr_du.units"
         }
         assert width_counts, "no unit-width counters recorded"
         # The telemetry histogram is the format's own census.
         hist = du.unit_class_histogram()
         for cls, n in hist.items():
-            key = f"encode.csr_du.units{{width={WIDTH_LABELS[cls]}}}"
+            key = metric_key("encode.csr_du.units", {"width": WIDTH_LABELS[cls]})
             assert width_counts[key] == n
         assert sum(width_counts.values()) == sum(hist.values())
 
     def test_ctl_bytes_and_new_rows(self, collector, csr):
         du = convert(csr, "csr-du")
-        assert collector.counters["encode.csr_du.ctl_bytes"] == len(du.ctl)
+        assert collector.counters[("encode.csr_du.ctl_bytes", ())] == len(du.ctl)
         nonempty = int(np.count_nonzero(np.diff(csr.row_ptr)))
-        assert collector.counters["encode.csr_du.new_rows"] == nonempty
+        assert collector.counters[("encode.csr_du.new_rows", ())] == nonempty
 
     def test_encode_span_emitted(self, collector, csr):
         convert(csr, "csr-du")
@@ -67,7 +68,7 @@ class TestCsrDuEncodeMetrics:
         total = sum(
             v
             for key, v in collector.counters.items()
-            if key.startswith("encode.csr_du.units")
+            if key[0] == "encode.csr_du.units"
         )
         assert total == du.units.nunits
 
@@ -76,13 +77,13 @@ class TestCsrViEncodeMetrics:
     def test_unique_table_gauges(self, collector, csr):
         vi = convert(csr, "csr-vi")
         assert collector.gauges[
-            f"encode.csr_vi.unique_vals{{nnz={csr.nnz}}}"
+            metric_key("encode.csr_vi.unique_vals", {"nnz": csr.nnz})
         ] == vi.unique_count
         assert (
-            collector.gauges["encode.csr_vi.val_ind_bits"]
+            collector.gauges[("encode.csr_vi.val_ind_bits", ())]
             == vi.val_ind.dtype.itemsize * 8
         )
-        assert collector.gauges["encode.csr_vi.ttu"] == pytest.approx(vi.ttu)
+        assert collector.gauges[("encode.csr_vi.ttu", ())] == pytest.approx(vi.ttu)
 
     def test_unique_span(self, collector, csr):
         convert(csr, "csr-vi")
@@ -101,16 +102,15 @@ class TestPartitionMetrics:
             assert ev.value == float(part.nnz_per_thread[t])
             lo, hi = part.rows_of(t)
             assert (ev.attrs["lo"], ev.attrs["hi"]) == (lo, hi)
-        assert collector.gauges["partition.imbalance{kind=row}"] == pytest.approx(
-            part.imbalance()
-        )
+        key = metric_key("partition.imbalance", {"kind": "row"})
+        assert collector.gauges[key] == pytest.approx(part.imbalance())
 
     def test_nnz_totals_cover_matrix(self, collector, csr):
         row_partition(csr.row_ptr, 8)
         total = sum(
             v
             for key, v in collector.counters.items()
-            if key.startswith("partition.nnz")
+            if key[0] == "partition.nnz"
         )
         assert total == csr.nnz
 
@@ -127,12 +127,13 @@ class TestSimMetrics:
             "threads": 4,
             "placement": "close",
         }
-        assert collector.counters[f"sim.bound{{bound={res.bound}}}"] == 1
-        key = "sim.dram_bytes{format=csr,placement=close,threads=4}"
-        assert collector.counters[key] == pytest.approx(res.total_traffic)
-        assert collector.gauges["sim.resident_fraction{format=csr}"] == pytest.approx(
-            res.resident_fraction
+        assert collector.counters[metric_key("sim.bound", {"bound": res.bound})] == 1
+        key = metric_key(
+            "sim.dram_bytes", {"format": "csr", "placement": "close", "threads": 4}
         )
+        assert collector.counters[key] == pytest.approx(res.total_traffic)
+        key = metric_key("sim.resident_fraction", {"format": "csr"})
+        assert collector.gauges[key] == pytest.approx(res.resident_fraction)
 
     def test_all_emitted_names_are_documented(self, collector, csr):
         convert(csr, "csr-du")

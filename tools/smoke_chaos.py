@@ -287,7 +287,7 @@ def scenario_mmap_truncate(n: int = 96, nworkers: int = 2) -> str:
 
 
 def scenario_degrade_ladder(n: int = 96, nworkers: int = 2) -> str:
-    from repro import obs
+    from repro.obs import ObsRuntime
     from repro.obs.rules import default_rules
     from repro.parallel.executor import ParallelSpMV
 
@@ -305,8 +305,8 @@ def scenario_degrade_ladder(n: int = 96, nworkers: int = 2) -> str:
         exc_factory=_corrupt,
         tag="degrade-ladder",
     )
-    runtime = obs.ObsRuntime(rules=default_rules())
-    prev_runtime = obs.set_runtime(runtime)
+    runtime = ObsRuntime(rules=default_rules())
+    prev_runtime = telemetry.set_live(runtime)
     try:
         with ResilientExecutor(
             csr, nworkers, backend="process", storage="mem", format_name="csr"
@@ -317,7 +317,7 @@ def scenario_degrade_ladder(n: int = 96, nworkers: int = 2) -> str:
         alerts = [a.rule for a in runtime.alerts]
         exposition = runtime.render_openmetrics()
     finally:
-        obs.set_runtime(prev_runtime)
+        telemetry.set_live(prev_runtime)
         runtime.close()
     _require(
         np.array_equal(got, expected),

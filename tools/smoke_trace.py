@@ -11,7 +11,7 @@ and checks that
   CSR-DU unit-width histograms, per-thread nnz counters, and one
   ``perf.attribution`` record per bench cell with its full payload.
 
-Further self-contained checks run under scoped collectors/runtimes:
+Further self-contained checks run under scoped sinks:
 the ``parallel.chunk`` spans of a small multithreaded SpMV (the bench
 trace above uses the model clock, which never spins up the executor),
 the fault/observability paths, the ``advisor.pick`` advise/realized
@@ -38,7 +38,7 @@ import tempfile
 from repro.bench.cli import main as bench_main
 from repro.errors import TelemetryError
 from repro.telemetry.export import read_jsonl, validate_event
-from repro.telemetry.metrics import KNOWN_EVENTS
+from repro.telemetry.metrics import KNOWN_EVENTS, VOCABULARY
 
 #: Event names a traced table2 run must contain to be considered healthy.
 REQUIRED_EVENTS = frozenset(
@@ -59,76 +59,34 @@ REQUIRED_EVENTS = frozenset(
     }
 )
 
-#: Attributes each event kind must carry (checked on every occurrence).
-REQUIRED_PAYLOADS: dict[str, frozenset] = {
-    "perf.attribution": frozenset(
-        {
-            "format",
-            "threads",
-            "placement",
-            "matrix_id",
-            "time_s",
-            "mflops",
-            "bytes_per_iter",
-            "index_bytes",
-            "value_bytes",
-            "vector_bytes",
-            "flops_per_byte",
-            "effective_gbps",
-            "roofline_pct",
-            "bound",
-            "nnz_imbalance",
-            "time_imbalance",
-            "compression_ratio",
-            "setup_s",
-        }
-    ),
-    "parallel.chunk": frozenset({"thread", "lo", "hi", "nnz", "kind"}),
-    "kernel.fallback": frozenset({"format", "from_tier", "to_tier", "error"}),
-    "executor.retry": frozenset({"format", "thread", "lo", "hi", "error"}),
-    "obs.alert": frozenset({"rule", "expr", "metric", "value", "threshold"}),
-    "obs.snapshot": frozenset({"histograms", "counters", "gauges", "alerts"}),
-    "advisor.pick": frozenset(
-        {
-            "matrix_id",
-            "format",
-            "kernel",
-            "threads",
-            "backend",
-            "partition",
-            "predicted_s",
-            "realized_s",
-            "source",
-            "phase",
-        }
-    ),
-    "executor.chunk.abandoned": frozenset(
-        {"thread", "lo", "hi", "timeout_s", "kind", "backend"}
-    ),
-    "resilience.breaker.open": frozenset({"key", "failures"}),
-    "resilience.breaker.half_open": frozenset({"key", "failures"}),
-    "resilience.breaker.close": frozenset({"key", "failures"}),
-    "resilience.degrade": frozenset(
-        {
-            "from_backend",
-            "from_storage",
-            "to_backend",
-            "to_storage",
-            "error",
-            "format",
-        }
-    ),
-    "resilience.deadline.expired": frozenset({"label", "budget_s"}),
-}
+def _check_events(events: list[dict], what: str) -> int:
+    """Schema, vocabulary and payload checks shared by every scenario."""
+    for i, event in enumerate(events):
+        try:
+            validate_event(event)
+        except TelemetryError as exc:
+            print(
+                f"smoke_trace: {what} event {i} invalid: {exc}: {event!r}",
+                file=sys.stderr,
+            )
+            return 1
+    unknown = {e["name"] for e in events} - KNOWN_EVENTS
+    if unknown:
+        print(
+            f"smoke_trace: undocumented {what} event names {sorted(unknown)}",
+            file=sys.stderr,
+        )
+        return 1
+    return _check_payloads(events)
 
 
 def _check_payloads(events: list[dict]) -> int:
-    """Every event of a payload-bearing name carries its required attrs."""
+    """Every event carries the attributes its vocabulary entry declares."""
     for i, event in enumerate(events):
-        required = REQUIRED_PAYLOADS.get(event["name"])
-        if required is None:
+        spec = VOCABULARY.get(event["name"])
+        if spec is None:
             continue
-        missing = required - set(event["attrs"])
+        missing = spec.attrs - set(event["attrs"])
         if missing:
             print(
                 f"smoke_trace: event {i} ({event['name']}) missing payload "
@@ -172,23 +130,7 @@ def check_parallel_chunks(nthreads: int = 4, calls: int = 2) -> int:
     if not np.allclose(got, expected, rtol=1e-13, atol=1e-13):
         print("smoke_trace: traced parallel SpMV diverged", file=sys.stderr)
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: parallel event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented parallel event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "parallel"):
         return 1
     chunks = [e for e in events if e["name"] == "parallel.chunk"]
     if len(chunks) != nthreads * calls:
@@ -272,23 +214,7 @@ def check_fault_events() -> int:
     if not np.array_equal(retried, clean):
         print("smoke_trace: retried executor result diverged", file=sys.stderr)
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: fault event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented fault event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "fault"):
         return 1
     fallbacks = [e for e in events if e["name"] == "kernel.fallback"]
     retries = [e for e in events if e["name"] == "executor.retry"]
@@ -324,12 +250,12 @@ def check_fault_events() -> int:
 def check_obs() -> int:
     """Live observability end to end, with a fault injected.
 
-    Under a scoped :class:`~repro.obs.core.ObsRuntime` and collector:
+    Under a scoped sink with both views on:
 
     * a multithreaded SpMV populates the ``spmv.chunk.seconds``
       histograms;
     * a :class:`~repro.robust.guard.GuardedKernel` whose first tier
-      always fails marks ``kernel.fallback``, which must fire the
+      always fails counts ``kernel.fallback``, which must fire the
       default ``kernel-fallback`` SLO rule on the next evaluation;
     * the resource monitor samples once (deterministically, no thread);
     * the resulting ``obs.alert`` / ``obs.snapshot`` / ``obs.resource.*``
@@ -339,12 +265,13 @@ def check_obs() -> int:
     """
     import numpy as np
 
-    from repro import obs, telemetry
+    from repro import telemetry
     from repro.compress.encode_cache import ConvertCache
     from repro.errors import EncodingError
     from repro.formats.conversions import convert
     from repro.formats.csr import CSRMatrix
     from repro.kernels.registry import get_kernel
+    from repro.obs import ObsRuntime
     from repro.obs.resource import ResourceMonitor
     from repro.robust import GuardedKernel
     from repro.parallel.executor import ParallelSpMV
@@ -359,9 +286,8 @@ def check_obs() -> int:
 
     failing_tier.tier = "batched"
 
-    runtime = obs.ObsRuntime()
-    prev_runtime = obs.set_runtime(runtime)
-    prev = telemetry.set_collector(telemetry.Collector())
+    runtime = ObsRuntime()
+    prev = telemetry.set_sink(telemetry.Sink(telemetry.Collector(), runtime))
     try:
         with ParallelSpMV(
             csr, 2, format_name="csr-du", convert_cache=ConvertCache()
@@ -374,7 +300,7 @@ def check_obs() -> int:
             "csr-du", chain=(failing_tier, get_kernel("csr-du", "vectorized"))
         )
         got = guarded(du, x)
-        ResourceMonitor(runtime).sample_once()
+        ResourceMonitor().sample_once()
         runtime.flush_snapshot()
         text = runtime.render_openmetrics()
         events = [
@@ -383,29 +309,12 @@ def check_obs() -> int:
         ]
         alerts = list(runtime.alerts)
     finally:
-        telemetry.set_collector(prev)
-        obs.set_runtime(prev_runtime)
+        telemetry.set_sink(prev)
         runtime.close()
     if not np.array_equal(got, expected):
         print("smoke_trace: obs guarded fallback diverged", file=sys.stderr)
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: obs event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented obs event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "obs"):
         return 1
     if not [a for a in alerts if a.rule == "kernel-fallback"]:
         print(
@@ -461,20 +370,21 @@ def check_obs() -> int:
 def check_backend_labels() -> int:
     """Backend-labelled chunk latency, thread vs process, end to end.
 
-    Runs the same matrix through both executors under a scoped
-    :class:`~repro.obs.core.ObsRuntime` and collector, then asserts
+    Runs the same matrix through both executors under a scoped sink
+    with both views on, then asserts
 
     * the OpenMetrics exposition carries ``spmv_chunk_seconds`` series
       for ``backend="thread"`` AND ``backend="process"`` (the scaling
       dashboards group on this label);
-    * every process-backend ``parallel.chunk`` event validates and
-      carries the ``backend`` and worker-measured ``seconds`` payload
-      on top of the thread payload keys.
+    * every process-backend ``parallel.chunk`` span validates and
+      carries the ``format``, ``backend`` and worker ``pid`` payload on
+      top of the thread payload keys.
     """
     import numpy as np
 
-    from repro import obs, telemetry
+    from repro import telemetry
     from repro.formats.csr import CSRMatrix
+    from repro.obs import ObsRuntime
     from repro.parallel import make_executor
 
     rng = np.random.default_rng(37)
@@ -482,9 +392,8 @@ def check_backend_labels() -> int:
     csr = CSRMatrix.from_dense(dense)
     x = rng.random(64)
 
-    runtime = obs.ObsRuntime()
-    prev_runtime = obs.set_runtime(runtime)
-    prev = telemetry.set_collector(telemetry.Collector())
+    runtime = ObsRuntime()
+    prev = telemetry.set_sink(telemetry.Sink(telemetry.Collector(), runtime))
     try:
         with make_executor(csr, 2, backend="thread", format_name="csr") as ex:
             y_thread = ex(x)
@@ -496,8 +405,7 @@ def check_backend_labels() -> int:
             for ev in telemetry.get_collector().snapshot()
         ]
     finally:
-        telemetry.set_collector(prev)
-        obs.set_runtime(prev_runtime)
+        telemetry.set_sink(prev)
         runtime.close()
     if not np.array_equal(y_thread, y_process):
         print(
@@ -505,31 +413,14 @@ def check_backend_labels() -> int:
             file=sys.stderr,
         )
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: backend event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented backend event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
+    if _check_events(events, "backend"):
         return 1
-    if _check_payloads(events):
-        return 1
-    # Workers now emit parallel.chunk *spans* too (merged by xproc);
-    # the parent's per-chunk record is the counter event.
+    # The worker's chunk span (merged by xproc) is the one record of a
+    # process chunk, in the log and in the live histogram alike.
     process_chunks = [
         e
         for e in events
         if e["name"] == "parallel.chunk"
-        and e["kind"] == "counter"
         and e["attrs"].get("backend") == "process"
     ]
     if len(process_chunks) != 2:
@@ -540,9 +431,9 @@ def check_backend_labels() -> int:
         )
         return 1
     for e in process_chunks:
-        if "seconds" not in e["attrs"]:
+        if e["kind"] != "span" or not {"format", "pid"} <= set(e["attrs"]):
             print(
-                f"smoke_trace: process chunk lacks worker seconds: {e!r}",
+                f"smoke_trace: process chunk is not a worker span: {e!r}",
                 file=sys.stderr,
             )
             return 1
@@ -572,8 +463,8 @@ def check_xproc(
 ) -> int:
     """Cross-process observability merge, end to end.
 
-    Runs the process backend under a scoped collector + runtime and
-    asserts the :mod:`repro.obs.xproc` merge delivered:
+    Runs the process backend under a scoped sink with both views on
+    and asserts the :mod:`repro.obs.xproc` merge delivered:
 
     * worker-emitted ``parallel.chunk`` spans with distinct worker pids
       (none of them the parent's) next to ``worker.attach`` /
@@ -590,8 +481,9 @@ def check_xproc(
 
     import numpy as np
 
-    from repro import obs, telemetry
+    from repro import telemetry
     from repro.formats.csr import CSRMatrix
+    from repro.obs import ObsRuntime
     from repro.parallel import make_executor
     from repro.perf.imbalance import summarize_parallel
     from repro.telemetry.export import write_chrome_trace
@@ -602,10 +494,9 @@ def check_xproc(
     x = rng.random(96)
     expected = csr.spmv(x)
 
-    runtime = obs.ObsRuntime(rules=())
-    prev_runtime = obs.set_runtime(runtime)
+    runtime = ObsRuntime(rules=())
     collector = telemetry.Collector()
-    prev = telemetry.set_collector(collector)
+    prev = telemetry.set_sink(telemetry.Sink(collector, runtime))
     try:
         with make_executor(
             csr, nworkers, backend="process", format_name="csr"
@@ -618,29 +509,12 @@ def check_xproc(
         if chrome_out:
             write_chrome_trace(collector, chrome_out)
     finally:
-        telemetry.set_collector(prev)
-        obs.set_runtime(prev_runtime)
+        telemetry.set_sink(prev)
         runtime.close()
     if not np.allclose(got, expected, rtol=1e-13, atol=1e-13):
         print("smoke_trace: xproc process SpMV diverged", file=sys.stderr)
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: xproc event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented xproc event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "xproc"):
         return 1
     worker_spans = [
         e
@@ -753,23 +627,7 @@ def check_advisor_events() -> int:
         ]
     finally:
         telemetry.set_collector(prev)
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: advisor event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented advisor event names {sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "advisor"):
         return 1
     picks = [e for e in events if e["name"] == "advisor.pick"]
     phases = [e["attrs"].get("phase") for e in picks]
@@ -808,8 +666,7 @@ def check_advisor_events() -> int:
 def check_resilience() -> int:
     """Resilience machinery end to end; validate its events and rules.
 
-    Under a scoped collector and :class:`~repro.obs.core.ObsRuntime`
-    (stock rules):
+    Under a scoped sink with both views on (stock rules):
 
     * a :class:`~repro.resilience.breaker.CircuitBreaker` on a fake
       clock walks closed -> open -> half-open -> closed, emitting all
@@ -826,9 +683,10 @@ def check_resilience() -> int:
     """
     import numpy as np
 
-    from repro import obs, telemetry
+    from repro import telemetry
     from repro.errors import DeadlineExceeded, EncodingError
     from repro.formats.csr import CSRMatrix
+    from repro.obs import ObsRuntime
     from repro.obs.rules import default_rules
     from repro.resilience import chaos
     from repro.resilience.breaker import CircuitBreaker
@@ -841,9 +699,8 @@ def check_resilience() -> int:
     x = rng.random(80)
     expected = csr.spmv(x)
 
-    runtime = obs.ObsRuntime(rules=default_rules())
-    prev_runtime = obs.set_runtime(runtime)
-    prev = telemetry.set_collector(telemetry.Collector())
+    runtime = ObsRuntime(rules=default_rules())
+    prev = telemetry.set_sink(telemetry.Sink(telemetry.Collector(), runtime))
     deadline_raised = False
     try:
         # Breaker state machine on a fake clock: open, cool down,
@@ -898,8 +755,7 @@ def check_resilience() -> int:
             for ev in telemetry.get_collector().snapshot()
         ]
     finally:
-        telemetry.set_collector(prev)
-        obs.set_runtime(prev_runtime)
+        telemetry.set_sink(prev)
         runtime.close()
     if not np.array_equal(got, expected):
         print("smoke_trace: degraded serial result diverged", file=sys.stderr)
@@ -913,24 +769,7 @@ def check_resilience() -> int:
     if not deadline_raised:
         print("smoke_trace: expired deadline did not raise", file=sys.stderr)
         return 1
-    for i, event in enumerate(events):
-        try:
-            validate_event(event)
-        except TelemetryError as exc:
-            print(
-                f"smoke_trace: resilience event {i} invalid: {exc}: {event!r}",
-                file=sys.stderr,
-            )
-            return 1
-    unknown = {e["name"] for e in events} - KNOWN_EVENTS
-    if unknown:
-        print(
-            f"smoke_trace: undocumented resilience event names "
-            f"{sorted(unknown)}",
-            file=sys.stderr,
-        )
-        return 1
-    if _check_payloads(events):
+    if _check_events(events, "resilience"):
         return 1
     names = {e["name"] for e in events}
     required = {
