@@ -55,9 +55,10 @@ class Storage:
 def check_out_aliasing(out: np.ndarray, *sources: np.ndarray) -> np.ndarray:
     """Reject an ``out=`` buffer that shares memory with an input.
 
-    The multi-vector and partial-reduction paths write ``out`` while
-    still reading their inputs (column by column, partial by partial),
-    so an aliased buffer silently corrupts the answer mid-computation.
+    The multi-vector path writes ``out`` column by column while still
+    reading its input, and the executors write ``y`` while every chunk
+    still reads ``x``, so an aliased buffer silently corrupts the
+    answer mid-computation.
     The contract is *no overlap*; violations raise
     :class:`~repro.errors.IntegrityError` instead of returning wrong
     numbers.  (``spmv(out=)`` on the plannable formats computes every
@@ -70,7 +71,7 @@ def check_out_aliasing(out: np.ndarray, *sources: np.ndarray) -> np.ndarray:
         if np.may_share_memory(out, src):
             raise IntegrityError(
                 "out= buffer shares memory with an input array; the "
-                "looped multi-vector/reduction paths require a disjoint "
+                "looped multi-vector and executor paths require a disjoint "
                 "output (pass a fresh buffer or copy the input)"
             )
     return out

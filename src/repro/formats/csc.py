@@ -1,9 +1,10 @@
 """Compressed Sparse Column (CSC).
 
 The column-major mirror of CSR (Section II-B mentions it as the other
-generic format).  It exists here because *column partitioning*
-(Section II-C) is most natural on CSC: each thread owns a block of
-columns and accumulates into a private ``y``, reduced at the end.
+generic format).  Its column slices are the natural unit of the
+paper's *column partitioning* (Section II-C), which the paper
+describes but does not evaluate; no executor here partitions by
+column.
 """
 
 from __future__ import annotations

@@ -81,7 +81,8 @@ for _name in (
 
 #: Tier order walked by guarded execution: a decode failure at one tier
 #: re-runs on the next (cheapest-first; "reference" is the ground-truth
-#: terminus).  Tiers a format does not register are skipped.
+#: terminus).  Tiers a format does not register, or registers as an
+#: alias of an earlier tier's kernel, are skipped.
 FALLBACK_ORDER: tuple[str, ...] = ("batched", "vectorized", "reference")
 
 
@@ -99,17 +100,20 @@ def fallback_chain(
             f"order is {FALLBACK_ORDER}"
         )
     idx = FALLBACK_ORDER.index(start_tier)
-    chain = tuple(
-        get_kernel(format_name, tier)
-        for tier in FALLBACK_ORDER[idx:]
-        if (format_name, tier) in _KERNELS
-    )
+    # A tier that aliases an earlier one (CSR's "batched" is its
+    # "vectorized" kernel) would re-run the same function, so it is
+    # dropped.
+    chain: list[KernelSpec] = []
+    for tier in FALLBACK_ORDER[idx:]:
+        func = _KERNELS.get((format_name, tier))
+        if func is not None and all(spec.func is not func for spec in chain):
+            chain.append(get_kernel(format_name, tier))
     if not chain:
         raise FormatError(
             f"format {format_name!r} has no kernels at or below tier "
             f"{start_tier!r}"
         )
-    return chain
+    return tuple(chain)
 
 
 def get_kernel(format_name: str, tier: str = "cached") -> KernelSpec:

@@ -20,7 +20,7 @@ from repro.machine.costmodel import CostModel, KernelCost, default_cost_model
 from repro.machine.traffic import ThreadWork, analyze_threads
 from repro.machine.engine import SimResult, solve_makespan
 from repro.machine.roofline import RooflinePoint, format_roofline, roofline_point, roofline_table
-from repro.machine.simulate import simulate_spmv, spmv_mflops
+from repro.machine.simulate import simulate_spmv
 from repro.machine.tracesim import TraceResult, format_trace, run_trace
 
 __all__ = [
@@ -47,5 +47,4 @@ __all__ = [
     "TraceResult",
     "format_trace",
     "run_trace",
-    "spmv_mflops",
 ]

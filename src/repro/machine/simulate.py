@@ -71,8 +71,3 @@ def simulate_spmv(
             resident_fraction=result.resident_fraction,
         )
     return result
-
-
-def spmv_mflops(result: SimResult) -> float:
-    """Convenience accessor mirroring the paper's FLOPS reporting."""
-    return result.mflops

@@ -1,34 +1,17 @@
-"""Parallelization of SpMV: partitioning, thread and process executors."""
+"""Parallelization of SpMV: row partitioning, thread and process executors."""
 
-from repro.parallel.partition import (
-    BlockPartition,
-    ColumnPartition,
-    RowPartition,
-    balance_by_nnz,
-    block_partition,
-    column_partition,
-    row_partition,
-)
+from repro.parallel.partition import RowPartition, balance_by_nnz, row_partition
 from repro.parallel.backends import BACKENDS, STORAGES, make_executor
-from repro.parallel.block_executor import BlockParallelSpMV
-from repro.parallel.column_executor import ColumnParallelSpMV
-from repro.parallel.executor import ParallelSpMV, reduce_partial_results
+from repro.parallel.executor import ParallelSpMV
 from repro.parallel.process_executor import ProcessParallelSpMV
 
 __all__ = [
     "RowPartition",
-    "ColumnPartition",
-    "BlockPartition",
     "balance_by_nnz",
     "row_partition",
-    "column_partition",
-    "block_partition",
     "ParallelSpMV",
     "ProcessParallelSpMV",
-    "ColumnParallelSpMV",
-    "BlockParallelSpMV",
     "BACKENDS",
     "STORAGES",
     "make_executor",
-    "reduce_partial_results",
 ]

@@ -43,7 +43,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -102,45 +101,12 @@ class ChunkFailure:
         return base
 
 
-def reduce_partial_results(
-    partials: Sequence[np.ndarray], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum per-thread ``y`` copies (the column-partitioning reduction).
-
-    With ``out=`` the sum accumulates into the caller's buffer (fully
-    overwritten), so an iterative caller allocates nothing per call;
-    without it, one fresh copy of the first partial is made, as before.
-
-    Aliasing contract: ``out`` may be ``partials[0]`` itself (the
-    overwrite is then a no-op and the remaining partials accumulate on
-    top), but must not overlap any *later* partial — those are read
-    after ``out`` starts changing, so overlap silently corrupts the
-    sum.  Violations raise :class:`~repro.errors.IntegrityError`.
-    """
-    if not partials:
-        raise PartitionError("no partial results to reduce")
-    if out is None:
-        out = np.array(partials[0], dtype=np.float64, copy=True)
-    else:
-        if any(p is out for p in partials[1:]):
-            raise IntegrityError(
-                "out= buffer is also a later partial; it would be read "
-                "after being overwritten"
-            )
-        check_out_aliasing(out, *partials[1:])
-        np.copyto(out, partials[0])
-    for p in partials[1:]:
-        out += p
-    return out
-
-
 def abandon_chunk(
     t: int,
     lo: int,
     hi: int,
     *,
     timeout: float | None,
-    kind: str,
     backend: str = "thread",
 ) -> ChunkFailure:
     """Record one timed-out chunk and build its failure.
@@ -161,7 +127,7 @@ def abandon_chunk(
             "hi": hi,
             "timeout_s": 0.0 if timeout is None else float(timeout),
         },
-        kind=kind,
+        kind="row",
         backend=backend,
     )
     return ChunkFailure(
@@ -179,9 +145,8 @@ def collect_chunk_failures(
     *,
     chunk_timeout: float | None,
     deadline: Deadline | None = None,
-    kind: str = "row",
 ) -> list[ChunkFailure]:
-    """The shared result loop of the three thread executors.
+    """The thread executor's result loop over its pool futures.
 
     Waits on every chunk future; a wait that exceeds the per-chunk
     timeout (capped by the run *deadline* when one is set) becomes an
@@ -197,9 +162,7 @@ def collect_chunk_failures(
         try:
             failure = future.result(timeout=timeout)
         except FuturesTimeoutError:
-            failure = abandon_chunk(
-                t, lo, hi, timeout=timeout, kind=kind
-            )
+            failure = abandon_chunk(t, lo, hi, timeout=timeout)
         if failure is not None:
             failures.append(failure)
     return failures
@@ -446,7 +409,6 @@ class ParallelSpMV:
                         self.partition.rows_of,
                         chunk_timeout=self.chunk_timeout,
                         deadline=self.deadline,
-                        kind="row",
                     )
                 )
         if failures:

@@ -1,21 +1,16 @@
 """Work partitioning for multithreaded SpMV (Section II-C of the paper).
 
-Three schemes, as the paper describes:
-
-* **Row partitioning** (the paper's choice, Fig. 2): each thread gets a
-  contiguous block of rows.  Threads write disjoint parts of ``y`` and
-  share read-only ``x``.
-* **Column partitioning**: each thread gets a block of columns, works
-  on a private copy of ``y`` (to avoid cache-line ping-pong), and the
-  copies are reduced at the end.
-* **Block partitioning**: a 2-D grid combining both.
+Row partitioning, the paper's choice (Fig. 2): each thread gets a
+contiguous block of rows.  Threads write disjoint parts of ``y`` and
+share read-only ``x``.  (The paper also describes column and block
+partitioning but evaluates neither; they are not built here.)
 
 Balancing follows the paper's *static nnz-based scheme*: boundaries are
 chosen so every thread receives approximately the same number of
-nonzero elements, hence the same floating-point work.  For offsets
-array ``ptr`` (row_ptr or col_ptr), :func:`balance_by_nnz` picks the
-boundary before which at most ``k * nnz / nthreads`` elements lie --
-a binary search per boundary, ``O(nthreads * log n)``.
+nonzero elements, hence the same floating-point work.  For the offsets
+array ``row_ptr``, :func:`balance_by_nnz` picks the boundary before
+which at most ``k * nnz / nthreads`` elements lie -- a binary search
+per boundary, ``O(nthreads * log n)``.
 """
 
 from __future__ import annotations
@@ -76,87 +71,11 @@ class RowPartition:
         return float(self.nnz_per_thread.max() / mean) if mean > 0 else 1.0
 
 
-@dataclass(frozen=True)
-class ColumnPartition:
-    """Assignment of contiguous column blocks to threads."""
-
-    boundaries: np.ndarray
-    nnz_per_thread: np.ndarray
-
-    @property
-    def nthreads(self) -> int:
-        return self.boundaries.size - 1
-
-    def cols_of(self, thread: int) -> tuple[int, int]:
-        return int(self.boundaries[thread]), int(self.boundaries[thread + 1])
-
-    def imbalance(self) -> float:
-        mean = self.nnz_per_thread.mean()
-        return float(self.nnz_per_thread.max() / mean) if mean > 0 else 1.0
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """2-D grid of (row-block, column-block) tiles assigned round-robin.
-
-    ``row_bounds`` x ``col_bounds`` defines the grid; tile ``(i, j)``
-    belongs to thread ``(i * ncol_blocks + j) % nthreads``.
-    """
-
-    row_bounds: np.ndarray
-    col_bounds: np.ndarray
-    nthreads: int
-
-    def tiles_of(self, thread: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        ncb = self.col_bounds.size - 1
-        tiles = []
-        for i in range(self.row_bounds.size - 1):
-            for j in range(ncb):
-                if (i * ncb + j) % self.nthreads == thread:
-                    tiles.append(
-                        (
-                            (int(self.row_bounds[i]), int(self.row_bounds[i + 1])),
-                            (int(self.col_bounds[j]), int(self.col_bounds[j + 1])),
-                        )
-                    )
-        return tiles
-
-
 def row_partition(row_ptr: np.ndarray, nthreads: int) -> RowPartition:
     """The paper's scheme: contiguous rows, nnz-balanced."""
     bounds = balance_by_nnz(row_ptr, nthreads)
     ptr = np.asarray(row_ptr, dtype=np.int64)
     nnz_per = ptr[bounds[1:]] - ptr[bounds[:-1]]
     if telemetry.enabled():
-        record_partition(bounds.tolist(), nnz_per.tolist(), kind="row")
+        record_partition(bounds.tolist(), nnz_per.tolist())
     return RowPartition(boundaries=bounds, nnz_per_thread=nnz_per)
-
-
-def column_partition(col_ptr: np.ndarray, nthreads: int) -> ColumnPartition:
-    """Contiguous columns, nnz-balanced (for CSC / column scheme)."""
-    bounds = balance_by_nnz(col_ptr, nthreads)
-    ptr = np.asarray(col_ptr, dtype=np.int64)
-    nnz_per = ptr[bounds[1:]] - ptr[bounds[:-1]]
-    if telemetry.enabled():
-        record_partition(bounds.tolist(), nnz_per.tolist(), kind="column")
-    return ColumnPartition(boundaries=bounds, nnz_per_thread=nnz_per)
-
-
-def block_partition(
-    row_ptr: np.ndarray, ncols: int, nthreads: int, *, grid: tuple[int, int] | None = None
-) -> BlockPartition:
-    """2-D tiling; default grid is ``nthreads x nthreads`` tiles.
-
-    Row cuts are nnz-balanced; column cuts are uniform (per-tile nnz
-    would need a full column histogram -- uniform is what the paper's
-    "configurable data sizes" remark needs for e.g. Cell-style local
-    stores).
-    """
-    if nthreads < 1:
-        raise PartitionError(f"nthreads must be >= 1, got {nthreads}")
-    nrb, ncb = grid if grid is not None else (nthreads, nthreads)
-    if nrb < 1 or ncb < 1:
-        raise PartitionError(f"grid {grid} must be positive")
-    row_bounds = balance_by_nnz(row_ptr, nrb)
-    col_bounds = np.linspace(0, ncols, ncb + 1).round().astype(np.int64)
-    return BlockPartition(row_bounds=row_bounds, col_bounds=col_bounds, nthreads=nthreads)

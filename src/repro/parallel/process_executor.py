@@ -443,12 +443,7 @@ class ProcessParallelSpMV:
             status = future.result(timeout=timeout)
         except FuturesTimeoutError:
             failure = abandon_chunk(
-                t,
-                lo,
-                hi,
-                timeout=timeout,
-                kind="row",
-                backend=self.backend,
+                t, lo, hi, timeout=timeout, backend=self.backend
             )
             if retried:
                 failure = ChunkFailure(

@@ -1,13 +1,12 @@
 """Declarative retry policies and wall-clock deadlines.
 
 Before this module the runtime's recovery knobs were scattered: the
-row thread executor hardcoded one cache-invalidating retry, the
-column/block executors retried nothing, the process executor had its
-own single rebuild+resubmit, and every executor took an independent
-``chunk_timeout`` with no overall bound.  :class:`RetryPolicy` and
-:class:`Deadline` replace those with two declarative objects that flow
-from ``make_executor`` / ``streamed_spmv`` down to every per-chunk and
-per-shard decision:
+thread executor hardcoded one cache-invalidating retry, the process
+executor had its own single rebuild+resubmit, and every executor took
+an independent ``chunk_timeout`` with no overall bound.
+:class:`RetryPolicy` and :class:`Deadline` replace those with two
+declarative objects that flow from ``make_executor`` /
+``streamed_spmv`` down to every per-chunk and per-shard decision:
 
 * :class:`RetryPolicy` -- how many attempts a unit of work gets
   (``max_attempts``), which **error classes** are worth retrying
@@ -179,8 +178,8 @@ class RetryPolicy:
 
     The default reproduces the PR-5/PR-7 executor behavior exactly --
     decode-class errors get one immediate cache-invalidating retry --
-    while making every knob explicit and shared across the row, column,
-    block and process executors.
+    while making every knob explicit and shared across the thread and
+    process executors.
 
     Parameters
     ----------

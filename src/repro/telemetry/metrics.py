@@ -110,7 +110,7 @@ VOCABULARY: dict[str, Spec] = {
     "plan.miss": _spec("counter", "format", "plan lookup that had to build"),
     "partition.nnz": _spec(
         "counter", "thread kind lo hi",
-        "nonzeros assigned to one thread's row/column block",
+        "nonzeros assigned to one thread's row block",
     ),
     "partition.imbalance": _spec(
         "gauge", "kind", "max/mean nnz per thread of the last split"
@@ -320,16 +320,14 @@ def record_unique_values(
 
 
 def record_partition(
-    boundaries: Sequence[int],
-    nnz_per_thread: Sequence[int],
-    *,
-    kind: str = "row",
+    boundaries: Sequence[int], nnz_per_thread: Sequence[int]
 ) -> None:
-    """Per-thread nnz balance and block bounds of one partitioning.
+    """Per-thread nnz balance and row-block bounds of one partitioning.
 
     Emits one ``partition.nnz`` counter event per thread (the event's
-    ``lo``/``hi`` attributes carry the thread's row/column-block
-    bounds) plus the split's imbalance gauge.
+    ``lo``/``hi`` attributes carry the thread's row-block bounds) plus
+    the split's imbalance gauge.  Events carry ``kind="row"``, the one
+    partitioning scheme.
     """
     if not core.enabled():
         return
@@ -343,12 +341,12 @@ def record_partition(
             nnz,
             extra={"lo": int(boundaries[t]), "hi": int(boundaries[t + 1])},
             thread=t,
-            kind=kind,
+            kind="row",
         )
         total += nnz
         peak = max(peak, nnz)
     mean = total / n if n else 0.0
-    core.gauge("partition.imbalance", peak / mean if mean else 1.0, kind=kind)
+    core.gauge("partition.imbalance", peak / mean if mean else 1.0, kind="row")
 
 
 def record_attribution(

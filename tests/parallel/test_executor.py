@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.formats import CSRMatrix, convert
-from repro.parallel.executor import ParallelSpMV, reduce_partial_results
+from repro.parallel.executor import ParallelSpMV
 
 from tests.conftest import random_sparse_dense
 
@@ -96,73 +96,6 @@ class TestParallelSpMV:
     def test_format_kwargs(self, csr):
         with ParallelSpMV(csr, 2, format_name="csr-du", policy="aligned") as p:
             assert all(chunk.policy == "aligned" for chunk in p.chunks)
-
-
-class TestReduce:
-    def test_sums(self):
-        parts = [np.ones(3), 2 * np.ones(3)]
-        assert reduce_partial_results(parts).tolist() == [3.0, 3.0, 3.0]
-
-    def test_does_not_mutate_inputs(self):
-        a = np.ones(2)
-        reduce_partial_results([a, a])
-        assert a.tolist() == [1.0, 1.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(PartitionError):
-            reduce_partial_results([])
-
-    def test_out_buffer_accumulates(self):
-        parts = [np.ones(3), 2 * np.ones(3)]
-        out = np.full(3, np.nan)  # fully overwritten, not added into
-        ret = reduce_partial_results(parts, out=out)
-        assert ret is out
-        assert out.tolist() == [3.0, 3.0, 3.0]
-
-    def test_out_buffer_reusable_across_iterations(self):
-        out = np.zeros(2)
-        for _ in range(3):
-            reduce_partial_results([np.ones(2), np.ones(2)], out=out)
-        assert out.tolist() == [2.0, 2.0]  # no accumulation across calls
-
-    def test_out_matches_fresh_allocation(self):
-        rng = np.random.default_rng(8)
-        parts = [rng.random(5) for _ in range(4)]
-        out = np.empty(5)
-        assert np.array_equal(
-            reduce_partial_results(parts, out=out), reduce_partial_results(parts)
-        )
-
-
-class TestReduceAliasing:
-    """Aliasing contract of reduce_partial_results(out=)."""
-
-    def test_out_may_be_first_partial(self):
-        parts = [np.ones(3), 2 * np.ones(3)]
-        ret = reduce_partial_results(parts, out=parts[0])
-        assert ret is parts[0]
-        assert parts[0].tolist() == [3.0, 3.0, 3.0]
-
-    def test_out_as_later_partial_rejected(self):
-        from repro.errors import IntegrityError
-
-        parts = [np.ones(3), 2 * np.ones(3)]
-        with pytest.raises(IntegrityError, match="later partial"):
-            reduce_partial_results(parts, out=parts[1])
-
-    def test_out_overlapping_later_partial_rejected(self):
-        from repro.errors import IntegrityError
-
-        buf = np.zeros(6)
-        parts = [np.ones(3), buf[2:5]]
-        with pytest.raises(IntegrityError):
-            reduce_partial_results(parts, out=buf[:3])
-
-    def test_disjoint_views_allowed(self):
-        buf = np.zeros(6)
-        parts = [np.ones(3), 2 * np.ones(3)]
-        ret = reduce_partial_results(parts, out=buf[3:])
-        assert ret.tolist() == [3.0, 3.0, 3.0]
 
 
 class TestExecutorRobustness:

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.formats import CSRMatrix
-from repro.parallel.partition import (
-    balance_by_nnz,
-    block_partition,
-    column_partition,
-    row_partition,
-)
+from repro.parallel.partition import balance_by_nnz, row_partition
 
 from tests.conftest import random_sparse_dense
 
@@ -97,35 +92,3 @@ class TestRowPartition:
     def test_imbalance_of_empty(self):
         part = row_partition(np.array([0, 0, 0]), 2)
         assert part.imbalance() == 1.0
-
-
-class TestColumnPartition:
-    def test_balanced(self):
-        ptr = np.arange(0, 61, 3)
-        part = column_partition(ptr, 4)
-        assert part.nnz_per_thread.sum() == 60
-        assert part.cols_of(3)[1] == 20
-
-
-class TestBlockPartition:
-    def test_tiles_cover_grid(self):
-        part = block_partition(np.arange(0, 41, 10), ncols=16, nthreads=3)
-        all_tiles = [t for thread in range(3) for t in part.tiles_of(thread)]
-        # Default grid is nthreads x nthreads tiles.
-        assert len(all_tiles) == 9
-        # Tiles are disjoint and cover [0, nrows) x [0, ncols).
-        rows_seen = sorted({rb for (rb, _) in all_tiles})
-        assert rows_seen[0][0] == 0
-
-    def test_custom_grid(self):
-        part = block_partition(np.arange(0, 21, 5), ncols=8, nthreads=2, grid=(2, 2))
-        assert part.row_bounds.size == 3
-        assert part.col_bounds.tolist() == [0, 4, 8]
-
-    def test_bad_grid(self):
-        with pytest.raises(PartitionError):
-            block_partition(np.array([0, 5]), ncols=4, nthreads=2, grid=(0, 2))
-
-    def test_bad_threads(self):
-        with pytest.raises(PartitionError):
-            block_partition(np.array([0, 5]), ncols=4, nthreads=0)

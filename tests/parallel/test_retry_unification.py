@@ -1,18 +1,19 @@
-"""All thread executors drive retries through one RetryPolicy.
+"""The thread executor drives retries through one RetryPolicy.
 
-PR 7 gave each executor its own copy-pasted retry loop; the resilience
-layer replaced them with :meth:`RetryPolicy.run`.  These tests pin the
-unified contract: defaults per executor, custom policies honored
-everywhere, and retry decisions drawn from one shared budget.
+Faults are injected at the ``thread.chunk`` chaos site rather than by
+wrapping a chunk: a retry rebuilds the chunk, so a wrapper would not
+survive it.  These tests pin the contract: the default policy, custom
+policies honored, and retry decisions drawn from one shared budget.
 """
 
 import numpy as np
 import pytest
 
+from repro.compress.encode_cache import ConvertCache
 from repro.errors import EncodingError, ExecutionError
 from repro.formats import CSRMatrix
-from repro.parallel import BlockParallelSpMV, ColumnParallelSpMV, ParallelSpMV
-from repro.parallel.column_executor import NO_RETRY_POLICY
+from repro.parallel import ParallelSpMV
+from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from tests.conftest import random_sparse_dense
 
@@ -27,22 +28,20 @@ def csr(dense):
     return CSRMatrix.from_dense(dense)
 
 
-class _TransientChunk:
-    """Fails with a decode-class error *fail_times* times, then works."""
+@pytest.fixture(autouse=True)
+def _disarm():
+    yield
+    chaos.disarm_all()
 
-    def __init__(self, inner, fail_times=1):
-        self.inner = inner
-        # The block executor reads tile shape/nnz around the kernel call.
-        self.nnz = inner.nnz
-        self.nrows = getattr(inner, "nrows", None)
-        self.fail_times = fail_times
-        self.calls = 0
 
-    def spmv(self, x, out=None):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise EncodingError("transient decode fault")
-        return self.inner.spmv(x, out=out)
+def _fail_chunk(thread, exc_factory=lambda: EncodingError("injected decode")):
+    """Make thread *thread*'s next chunk attempt raise once."""
+    chaos.arm(
+        "thread.chunk",
+        "raise",
+        match={"thread": thread},
+        exc_factory=exc_factory,
+    )
 
 
 class TestDefaults:
@@ -50,54 +49,27 @@ class TestDefaults:
         with ParallelSpMV(csr, 2) as p:
             assert p.retry_policy is DEFAULT_RETRY_POLICY
 
-    def test_column_and_block_default_to_no_retries(self, csr):
-        with ColumnParallelSpMV(csr, 2) as p:
-            assert p.retry_policy is NO_RETRY_POLICY
-        with BlockParallelSpMV(csr, 2) as p:
-            assert p.retry_policy is NO_RETRY_POLICY
-        assert NO_RETRY_POLICY.max_attempts == 1
-
 
 class TestCustomPolicyHonoredEverywhere:
-    def test_column_executor_retry_recovers(self, csr, dense):
-        x = np.random.default_rng(5).random(csr.ncols)
-        policy = RetryPolicy(max_attempts=2, retry_on=("decode",))
-        with ColumnParallelSpMV(csr, 2, retry_policy=policy) as p:
-            p.chunks[1] = _TransientChunk(p.chunks[1])
-            assert np.allclose(p(x), dense @ x)
-            assert p.chunks[1].calls == 2  # one failure + one retry
-
-    def test_block_executor_retry_recovers(self, csr, dense):
-        x = np.random.default_rng(6).random(csr.ncols)
-        policy = RetryPolicy(max_attempts=2, retry_on=("decode",))
-        with BlockParallelSpMV(csr, 2, retry_policy=policy) as p:
-            rows, cols, tile = p.tiles[0][0]
-            p.tiles[0][0] = (rows, cols, _TransientChunk(tile))
-            assert np.allclose(p(x), dense @ x)
-            assert p.tiles[0][0][2].calls == 2
-
     def test_row_executor_can_opt_out_of_retries(self, csr):
         x = np.random.default_rng(7).random(csr.ncols)
-        with ParallelSpMV(csr, 2, retry_policy=NO_RETRY_POLICY) as p:
-            p.chunks[0] = _TransientChunk(p.chunks[0])
+        policy = RetryPolicy(max_attempts=1, budget=0)
+        with ParallelSpMV(csr, 2, retry_policy=policy) as p:
+            _fail_chunk(0)
             with pytest.raises(ExecutionError) as err:
                 p(x)
         (failure,) = err.value.failures
         assert not failure.retried
 
     def test_non_decode_class_still_refused(self, csr):
-        # The policy's error classes gate the column executor exactly
-        # as they gate the row executor.
-        class Boom:
-            def spmv(self, x, out=None):
-                raise ValueError("caller bug")
-
+        # The policy's error classes gate which failures are retried.
         policy = RetryPolicy(max_attempts=3, retry_on=("decode",))
-        with ColumnParallelSpMV(csr, 2, retry_policy=policy) as p:
-            p.chunks[0] = Boom()
+        with ParallelSpMV(csr, 2, retry_policy=policy) as p:
+            _fail_chunk(0, exc_factory=lambda: ValueError("caller bug"))
             with pytest.raises(ExecutionError) as err:
                 p(np.ones(csr.ncols))
         (failure,) = err.value.failures
+        assert isinstance(failure.error, ValueError)
         assert not failure.retried
 
 
@@ -105,10 +77,14 @@ class TestSharedBudget:
     def test_budget_caps_retries_across_calls(self, csr, dense):
         x = np.random.default_rng(8).random(csr.ncols)
         policy = RetryPolicy(max_attempts=2, retry_on=("decode",), budget=1)
-        with ColumnParallelSpMV(csr, 2, retry_policy=policy) as p:
-            good = p.chunks[1]
-            p.chunks[1] = _TransientChunk(good)
+        with ParallelSpMV(
+            csr, 2, retry_policy=policy, convert_cache=ConvertCache()
+        ) as p:
+            _fail_chunk(1)
             assert np.allclose(p(x), dense @ x)  # spends the whole budget
-            p.chunks[1] = _TransientChunk(good)
-            with pytest.raises(ExecutionError):
+            _fail_chunk(1)
+            with pytest.raises(ExecutionError) as err:
                 p(x)  # the executor's budget is drained
+        (failure,) = err.value.failures
+        assert isinstance(failure.error, EncodingError)
+        assert not failure.retried
