@@ -1,11 +1,12 @@
 """Real-clock kernel micro-benchmarks (serial, this host).
 
-These time the actual NumPy kernels -- the honest wall-clock layer of
-the reproduction.  Absolute numbers reflect this container, not the
+These time the kernels the registry serves: each format's own ``spmv``
+(the ``"cached"`` tier -- NumPy over the cached kernel plan) and the
+paper's pure-Python reference listings (the ``"reference"`` tier, the
+test oracle).  Absolute numbers reflect the host they run on, not the
 paper's Clovertown; they exist to (a) exercise pytest-benchmark on real
-code paths and (b) sanity-check that the *relative compute cost*
-ordering assumed by the cost model (CSR < CSR-VI < CSR-DU-unitwise) is
-real.
+code paths and (b) show the relative compute cost of decoding CSR-DU's
+ctl stream and CSR-VI's value indirection next to plain CSR.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ import numpy as np
 import pytest
 
 from repro.formats import convert
-from repro.kernels.vectorized import (
-    spmv_csr_du_unitwise,
-    spmv_csr_vectorized,
-    spmv_csr_vi_vectorized,
-)
+from repro.kernels.registry import get_kernel
 from repro.matrices.collection import realize
 
 SCALE = 1 / 64
 MATRIX_ID = 69  # ML_vi member: big enough to be interesting
+PAPER_FORMATS = ("csr", "csr-vi", "csr-du", "csr-du-vi")
 
 
 @pytest.fixture(scope="module")
@@ -35,37 +33,21 @@ def x(matrix):
     return np.random.default_rng(0).random(matrix.ncols)
 
 
-def test_spmv_csr(benchmark, matrix, x):
-    csr = convert(matrix, "csr")
-    y = benchmark(lambda: spmv_csr_vectorized(csr, x))
-    assert y.shape == (matrix.nrows,)
-
-
-def test_spmv_csr_vi(benchmark, matrix, x):
-    vi = convert(matrix, "csr-vi")
-    y = benchmark(lambda: spmv_csr_vi_vectorized(vi, x))
+@pytest.mark.parametrize("fmt", PAPER_FORMATS)
+def test_spmv_cached(benchmark, matrix, x, fmt):
+    m = convert(matrix, fmt)
+    m.spmv(x)  # build the kernel plan, as an iterative solver would
+    y = benchmark(lambda: m.spmv(x))
     assert np.allclose(y, matrix.spmv(x))
 
 
-def test_spmv_csr_du_cached(benchmark, matrix, x):
-    du = convert(matrix, "csr-du")
-    du.units  # prime the structural decode, as an iterative solver would
-    y = benchmark(lambda: du.spmv(x))
-    assert np.allclose(y, matrix.spmv(x))
-
-
-def test_spmv_csr_du_unitwise(benchmark, matrix, x):
-    """True decode-on-the-fly: the compute/traffic tradeoff made flesh."""
-    du = convert(matrix, "csr-du")
-    y = benchmark(lambda: spmv_csr_du_unitwise(du, x))
-    assert np.allclose(y, matrix.spmv(x))
-
-
-def test_spmv_csr_du_vi(benchmark, matrix, x):
-    duvi = convert(matrix, "csr-du-vi")
-    duvi.units
-    y = benchmark(lambda: duvi.spmv(x))
-    assert np.allclose(y, matrix.spmv(x))
+@pytest.mark.parametrize("fmt", PAPER_FORMATS)
+def test_spmv_reference(benchmark, matrix, x, fmt):
+    """The paper's listings: pure Python, so one round is enough."""
+    m = convert(matrix, fmt)
+    kernel = get_kernel(fmt, "reference")
+    y = benchmark.pedantic(lambda: kernel(m, x), rounds=1, iterations=1)
+    assert np.allclose(y, m.spmv(x))
 
 
 def test_spmv_bcsr(benchmark, matrix, x):

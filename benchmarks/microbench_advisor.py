@@ -2,10 +2,10 @@
 
 For a corpus drawn from the paper catalog (MS, ML, and their VI
 subsets), the configuration advisor (:mod:`repro.perf.advisor`) picks
-one ``(format, kernel tier)`` configuration per matrix from structural
-features plus a freshly measured host calibration.  The oracle is the
-exhaustive alternative: every candidate configuration is measured,
-real wall-clock, and the fastest wins.  Per-matrix **regret** is
+one format per matrix from structural features plus a freshly measured
+host calibration.  The oracle is the exhaustive alternative: every
+candidate configuration is measured, real wall-clock, and the fastest
+wins.  Per-matrix **regret** is
 
     advisor-picked measured seconds / oracle-best measured seconds
 
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.formats.conversions import convert
-from repro.kernels.registry import get_kernel
 from repro.matrices.collection import (
     ML_IDS,
     ML_VI_IDS,
@@ -65,7 +64,7 @@ from repro.perf.advisor import (
     measure_calibration,
     record_realized,
 )
-from repro.perf.advisor.model import ADVISOR_FORMATS, ADVISOR_KERNELS
+from repro.perf.advisor.model import ADVISOR_FORMATS
 from repro.util.hostinfo import host_fingerprint
 from repro.util.timing import measure
 
@@ -93,20 +92,23 @@ def corpus(smoke: bool) -> tuple[int, ...]:
     return tuple(sorted(set(picks)))
 
 
+def _key(fmt: str, threads: int, backend: str) -> str:
+    """Result key; every candidate runs the format's own spmv."""
+    return f"{fmt}|cached|t{threads}|{backend}"
+
+
 def oracle_sweep(
     matrix, x: np.ndarray, *, calls: int, repeats: int
 ) -> dict[str, float]:
-    """Measured per-call seconds for every candidate (format, tier)."""
+    """Measured per-call seconds of every candidate format's ``spmv``."""
     measured: dict[str, float] = {}
     for fmt in ADVISOR_FORMATS:
         conv = convert(matrix, fmt)
-        for tier in ADVISOR_KERNELS:
-            kernel = get_kernel(fmt, tier)
-            kernel(conv, x)  # warm: caches, lazy buffers
-            seconds = measure(
-                lambda: kernel(conv, x), calls=calls, repeats=repeats
-            ).per_call
-            measured[f"{fmt}|{tier}|t1|thread"] = seconds
+        conv.spmv(x)  # warm: caches, lazy buffers
+        seconds = measure(
+            lambda: conv.spmv(x), calls=calls, repeats=repeats
+        ).per_call
+        measured[_key(fmt, 1, "thread")] = seconds
     return measured
 
 
@@ -133,9 +135,8 @@ def run_corpus(
             features, matrix_id=mid, clock="real", calibration=cal
         )
         best = choice.best
-        picked_key = (
-            f"{best.config.format_name}|{best.config.kernel}"
-            f"|t{best.config.threads}|{best.config.backend}"
+        picked_key = _key(
+            best.config.format_name, best.config.threads, best.config.backend
         )
         measured = oracle_sweep(matrix, x, calls=calls, repeats=repeats)
         oracle_key = min(measured, key=measured.get)
@@ -143,8 +144,7 @@ def run_corpus(
         picked_s = measured[picked_key]
         record_realized(choice, picked_s, matrix_id=mid)
         top3 = {
-            f"{p.config.format_name}|{p.config.kernel}"
-            f"|t{p.config.threads}|{p.config.backend}"
+            _key(p.config.format_name, p.config.threads, p.config.backend)
             for p in choice.top(3)
         }
         rows.append(

@@ -1,11 +1,11 @@
 """Reference vs batched CSR-DU encode microbenchmark.
 
-Times the per-unit reference pipeline (:func:`repro.compress.delta.
-unitize` feeding :class:`repro.compress.ctl.CtlWriter`) against the
+Times the per-unit reference pipeline (:func:`repro.compress.ctl.
+encode_ctl_reference`: ``unitize`` feeding a ``CtlWriter``) against the
 vectorized one-pass encoder (:func:`repro.compress.encode_batched.
-encode_ctl_batched`) on the same stencil/banded set the kernel
-microbenchmark uses, asserts the two ctl streams are *byte-identical*,
-and records encode throughput plus the speedup in ``BENCH_encode.json``.
+encode_ctl_batched`) on a stencil/banded set, asserts the two ctl
+streams are *byte-identical*, and records encode throughput plus the
+speedup in ``BENCH_encode.json``.
 
 The JSON carries the cells under ``experiments.encode.cells`` -- the
 exact shape :mod:`repro.bench.baseline` flattens -- so the perf gate
@@ -28,16 +28,14 @@ import sys
 
 import numpy as np
 
-from repro.compress.ctl import CtlWriter
-from repro.compress.delta import unitize
+from repro.compress.ctl import encode_ctl_reference
 from repro.compress.encode_batched import encode_ctl_batched
 from repro.compress.unit_table import scan_units
 from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import banded_random, stencil_2d
 from repro.util.timing import measure
 
-#: (name, COO builder).  Same set as microbench_kernels.py, so the two
-#: BENCH files describe the same matrices end to end.
+#: (name, COO builder).
 CASES = (
     ("stencil2d-512x512-5pt", lambda: stencil_2d(512, 512, points=5)),
     ("stencil2d-160x160-9pt", lambda: stencil_2d(160, 160, points=9)),
@@ -49,21 +47,13 @@ CASES = (
 SPEEDUP_FLOOR = 20.0
 
 
-def reference_encode(row_ptr: np.ndarray, col_ind: np.ndarray, policy: str,
-                     max_unit: int = 255) -> bytes:
-    writer = CtlWriter()
-    for unit in unitize(row_ptr, col_ind, policy=policy, max_unit=max_unit):
-        writer.append(unit)
-    return writer.getvalue()
-
-
 def bench_case(name: str, build, policy: str = "greedy") -> dict:
     coo = build()
     csr = CSRMatrix.from_coo(coo)
     row_ptr = csr.row_ptr.astype(np.int64)
     col_ind = csr.col_ind.astype(np.int64)
 
-    ref_ctl = reference_encode(row_ptr, col_ind, policy)
+    ref_ctl = encode_ctl_reference(row_ptr, col_ind, policy=policy)
     enc = encode_ctl_batched(row_ptr, col_ind, policy=policy)
     bit_identical = ref_ctl == enc.ctl
     scanned = scan_units(ref_ctl)
@@ -76,7 +66,9 @@ def bench_case(name: str, build, policy: str = "greedy") -> dict:
     # The reference encoder is interpreter-bound (seconds per call at
     # 1M nnz), so few calls suffice; the batched encoder gets more.
     m_ref = measure(
-        lambda: reference_encode(row_ptr, col_ind, policy), calls=2, repeats=2
+        lambda: encode_ctl_reference(row_ptr, col_ind, policy=policy),
+        calls=2,
+        repeats=2,
     )
     m_bat = measure(
         lambda: encode_ctl_batched(row_ptr, col_ind, policy=policy),
@@ -146,7 +138,9 @@ def smoke() -> int:
         for policy in ("greedy", "aligned", "seq"):
             for max_unit in (2, 3, 5, 254, 255):
                 checks += 1
-                ref = reference_encode(row_ptr, col_ind, policy, max_unit)
+                ref = encode_ctl_reference(
+                    row_ptr, col_ind, policy=policy, max_unit=max_unit
+                )
                 enc = encode_ctl_batched(
                     row_ptr, col_ind, policy=policy, max_unit=max_unit
                 )
@@ -187,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "csr-du reference vs batched one-pass encode",
         "encoders": {
-            "reference": "repro.compress.delta.unitize + ctl.CtlWriter",
+            "reference": "repro.compress.ctl.encode_ctl_reference",
             "batched": "repro.compress.encode_batched.encode_ctl_batched",
         },
         "note": (

@@ -21,10 +21,10 @@ uninterrupted run's.  Two properties make that hold:
   re-applied identically on restore.
 
 Each line carries a configuration fingerprint (scale, clock, kernel,
-encoder, machine, thread configs).  Lines whose fingerprint does not
-match the resuming run — or that fail to parse, e.g. a torn final
-write from the crash itself — are skipped, not fatal: a checkpoint is
-a cache, never an authority.
+machine, thread configs).  Lines whose fingerprint does not match the
+resuming run — or that fail to parse, e.g. a torn final write from the
+crash itself — are skipped, not fatal: a checkpoint is a cache, never
+an authority.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def fingerprint(
             "scale": config.scale,
             "clock": config.clock,
             "kernel": config.kernel,
-            "encoder": config.encoder,
             "machine": config.scaled_machine().name,
             "configs": ["{0}|{1}".format(*key) for key in configs],
         },

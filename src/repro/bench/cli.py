@@ -149,11 +149,11 @@ def main(argv: list[str] | None = None) -> int:
         "--kernel",
         type=str,
         default="cached",
+        choices=("cached", "reference"),
         help=(
-            "kernel tier timed by the real clock (cached, batched, "
-            "vectorized, reference, or auto -- the configuration "
-            "advisor picks per matrix+format); the model clock "
-            "ignores it"
+            "kernel tier timed by the real clock (cached = the "
+            "format's own spmv, reference = the paper's pure-Python "
+            "listing); the model clock ignores it"
         ),
     )
     parser.add_argument(
@@ -175,15 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             "collapse each experiment's thread configurations to one: "
             "an integer pins the count, auto asks the advisor per "
             "matrix (GIL/CPU-aware under the real clock)"
-        ),
-    )
-    parser.add_argument(
-        "--encoder",
-        type=str,
-        default="batched",
-        help=(
-            "CSR-DU encode pipeline (batched = vectorized one-pass, "
-            "reference = per-unit CtlWriter); both emit identical bytes"
         ),
     )
     parser.add_argument(
@@ -375,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ExperimentConfig(
         scale=args.scale,
         kernel=args.kernel,
-        encoder=args.encoder,
         backend=args.backend,
         storage=args.storage,
         format_override=args.format_name,

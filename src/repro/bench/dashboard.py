@@ -480,7 +480,7 @@ def _advisor_section(
     if not parts:
         return (
             "<p class=note>No advisor data: pass --advisor-json with a "
-            "BENCH_advisor.json, or run with --format/--kernel/--threads "
+            "BENCH_advisor.json, or run with --format/--threads "
             "auto to emit advisor.pick events.</p>"
         )
     return "".join(parts)

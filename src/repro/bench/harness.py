@@ -5,7 +5,7 @@ Two clocks exist:
 * ``"model"`` (default) -- the machine model of :mod:`repro.machine`,
   used for every paper table/figure (this container cannot exhibit
   multicore bandwidth contention; see DESIGN.md section 3);
-* ``"real"`` -- wall-clock timing of the vectorized kernels via
+* ``"real"`` -- wall-clock timing of the ``kernel`` tier via
   :func:`repro.util.timing.measure` (the paper's 128-iteration
   protocol), available for serial sanity checks.
 
@@ -52,7 +52,7 @@ TABLE2_CONFIGS: tuple[tuple[int, str], ...] = (
 SPEEDUP_THREADS: tuple[int, ...] = (1, 2, 4, 8)
 
 
-def _advise(matrix, config, *, matrix_id, formats, kernels, threads):
+def _advise(matrix, config, *, matrix_id, formats, threads):
     """One advisor call with this run's machine/cost-model context."""
     from repro.perf.advisor import advise
 
@@ -61,29 +61,11 @@ def _advise(matrix, config, *, matrix_id, formats, kernels, threads):
         matrix_id=matrix_id,
         clock=config.clock,
         formats=formats,
-        kernels=kernels,
         threads=threads,
         backends=(config.backend,),
         machine=config.scaled_machine(),
         cost_model=config.cost_model,
     )
-
-
-def resolve_kernel(matrix, format_name: str, config, matrix_id: int = -1) -> str:
-    """The tier ``kernel="auto"`` runs for (*matrix*, *format_name*)."""
-    if config.kernel != "auto":
-        return config.kernel
-    from repro.perf.advisor.model import ADVISOR_KERNELS
-
-    choice = _advise(
-        matrix,
-        config,
-        matrix_id=matrix_id,
-        formats=(format_name,),
-        kernels=ADVISOR_KERNELS,
-        threads=(1,),
-    )
-    return choice.config.kernel
 
 
 def resolve_thread_configs(
@@ -104,7 +86,6 @@ def resolve_thread_configs(
             config,
             matrix_id=matrix_id,
             formats=("csr",),
-            kernels=("cached",),
             threads=SPEEDUP_THREADS,
         )
         picked = choice.config.threads
@@ -134,7 +115,6 @@ def resolve_formats(
             config,
             matrix_id=matrix_id,
             formats=ADVISOR_FORMATS,
-            kernels=("cached",),
             threads=(1,),
         ).config.format_name
     else:
@@ -161,16 +141,11 @@ class ExperimentConfig:
     cost_model: CostModel = field(default_factory=default_cost_model)
     clock: str = "model"
     real_calls: int = 16
-    #: Kernel tier timed by the real clock (``"cached"``, ``"batched"``,
-    #: ``"vectorized"``, ``"reference"``, or ``"auto"`` -- the
-    #: configuration advisor picks per (matrix, format)); the model
-    #: clock predicts from memory traffic and ignores it.
+    #: Kernel tier timed by the real clock: ``"cached"`` (the format's
+    #: own ``spmv``) or ``"reference"`` (the paper's pure-Python
+    #: listing); the model clock predicts from memory traffic and
+    #: ignores it.
     kernel: str = "cached"
-    #: Encode pipeline for the CSR-DU conversions (``"batched"`` -- the
-    #: vectorized one-pass encoder -- or ``"reference"``, the per-unit
-    #: CtlWriter walk).  Mirrors the ``kernel`` axis on the setup side;
-    #: both produce byte-identical streams.
-    encoder: str = "batched"
     #: Execution backend for real-clock multi-worker cells:
     #: ``"thread"`` (:class:`~repro.parallel.executor.ParallelSpMV`) or
     #: ``"process"`` (:class:`~repro.parallel.process_executor.
@@ -282,8 +257,6 @@ def run_format_matrix(
     with telemetry.span(
         "bench.cell", matrix_id=matrix_id, format=format_name
     ) as cell:
-        if format_name in ("csr-du", "csr-du-vi"):
-            format_kwargs.setdefault("encoder", config.encoder)
         setup_t0 = time.perf_counter()
         converted = cached_convert(
             matrix, format_name, cache=convert_cache, **format_kwargs
@@ -298,9 +271,6 @@ def run_format_matrix(
         if plannable and (config.clock == "real" or tracing):
             get_plan(converted)
         setup_s = time.perf_counter() - setup_t0
-        kernel_tier = config.kernel
-        if config.kernel == "auto" and config.clock == "real":
-            kernel_tier = resolve_kernel(matrix, format_name, config, matrix_id)
         machine = config.scaled_machine()
         if csr_storage is None:
             csr_storage = convert(matrix, "csr").storage()
@@ -334,7 +304,7 @@ def run_format_matrix(
                 if threads == 1 and config.backend == "thread":
                     from repro.kernels.registry import get_kernel
 
-                    kernel = get_kernel(format_name, kernel_tier)
+                    kernel = get_kernel(format_name, config.kernel)
                     kernel(converted, x)  # warm caches / decode caches
                     with telemetry.span(
                         "bench.measure", matrix_id=matrix_id, format=format_name
@@ -497,7 +467,7 @@ def run_set(
                     # have?" even for CSR-only experiments, so record
                     # the CSR-DU unit census (the encode emits the
                     # width histogram).
-                    convert(matrix, "csr-du", encoder=config.encoder)
+                    convert(matrix, "csr-du")
             for fmt in formats_m:
                 restored = done.get((mid, fmt))
                 if restored is not None:

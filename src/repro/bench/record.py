@@ -68,7 +68,6 @@ def run_payload(results: dict[str, Any], config: ExperimentConfig) -> dict:
         "machine": config.scaled_machine().name,
         "clock": config.clock,
         "kernel": config.kernel,
-        "encoder": config.encoder,
         "cost_model": dataclasses.asdict(config.cost_model),
         "machine_spec": {
             k: v

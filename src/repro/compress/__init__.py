@@ -24,6 +24,7 @@ from repro.compress.ctl import (
     FLAG_NR,
     FLAG_RJMP,
     decode_units,
+    encode_ctl_reference,
 )
 from repro.compress.unit_table import (
     BatchedColumnDecoder,
@@ -55,6 +56,7 @@ __all__ = [
     "FLAG_NR",
     "FLAG_RJMP",
     "decode_units",
+    "encode_ctl_reference",
     "BatchedColumnDecoder",
     "UnitTable",
     "scan_units",

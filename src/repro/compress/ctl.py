@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.compress.delta import Unit
+from repro.compress.delta import MAX_UNIT_SIZE, Unit, unitize
 from repro.errors import EncodingError
 from repro.telemetry import core as telemetry
 from repro.telemetry.metrics import record_ctl_stream
@@ -137,6 +137,27 @@ class CtlWriter:
                 ctl_bytes=len(self._buf),
             )
         return bytes(self._buf)
+
+
+def encode_ctl_reference(
+    row_ptr: np.ndarray,
+    col_ind: np.ndarray,
+    *,
+    policy: str = "greedy",
+    max_unit: int = MAX_UNIT_SIZE,
+) -> bytes:
+    """The per-unit CSR-DU encode: :func:`~repro.compress.delta.unitize`
+    feeding a :class:`CtlWriter`.
+
+    The executable specification of the ctl stream.  Production code
+    encodes with :func:`~repro.compress.encode_batched.encode_ctl_batched`;
+    the tests and ``benchmarks/microbench_encode.py`` hold it to these
+    bytes.
+    """
+    writer = CtlWriter()
+    for unit in unitize(row_ptr, col_ind, policy=policy, max_unit=max_unit):
+        writer.append(unit)
+    return writer.getvalue()
 
 
 class CtlReader:

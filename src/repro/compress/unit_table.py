@@ -1,11 +1,12 @@
 """Structure-of-arrays unit table and width-class batched ctl decode.
 
-The on-the-fly CSR-DU kernel (:func:`repro.kernels.vectorized.
-spmv_csr_du_unitwise`) pays one Python loop iteration *per unit*: for a
-million-nonzero matrix with ~8-element units that is ~125k interpreter
-round-trips per SpMV, so its throughput floor is the interpreter, not
-memory bandwidth -- the opposite of the regime the paper reasons about.
-This module removes that floor in two steps:
+A CSR-DU kernel that walks the ctl stream unit by unit in Python (as
+the paper's Fig. 3 listing, :func:`repro.kernels.reference.
+spmv_csr_du_reference`, does) pays one interpreter loop iteration *per
+unit*: for a million-nonzero matrix with ~8-element units that is ~125k
+interpreter round-trips per SpMV, so its throughput floor is the
+interpreter, not memory bandwidth -- the opposite of the regime the
+paper reasons about.  This module removes that floor in two steps:
 
 1. :func:`scan_units` walks the ctl byte stream **once** and records
    every unit's header fields -- flags, width class, size, absolute
@@ -199,7 +200,8 @@ class BatchedColumnDecoder:
     Built once per matrix (the *plan build*); :meth:`columns` then
     yields the absolute column index of every nonzero with O(#classes)
     NumPy passes.  The integer arithmetic is exact, so the result is
-    element-for-element identical to the unitwise decoder's.
+    element-for-element identical to a unit-by-unit decode
+    (:func:`~repro.compress.ctl.decode_units`).
 
     Static structure -- sequential-unit ramps, singleton columns and
     every unit's first column -- is resolved at build time into a

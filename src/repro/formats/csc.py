@@ -78,19 +78,6 @@ class CSCMatrix(SparseMatrix):
         np.add.at(y, self.row_ind, self.values * x[col_of])
         return y
 
-    def col_slice(self, start: int, stop: int) -> "CSCMatrix":
-        """Sub-matrix of columns ``[start, stop)`` (for column partitioning)."""
-        if not 0 <= start <= stop <= self.ncols:
-            raise FormatError(f"col slice [{start}, {stop}) out of range")
-        lo, hi = int(self.col_ptr[start]), int(self.col_ptr[stop])
-        return CSCMatrix(
-            self.nrows,
-            stop - start,
-            (self.col_ptr[start : stop + 1].astype(np.int64) - lo).astype(np.int32),
-            self.row_ind[lo:hi],
-            self.values[lo:hi],
-        )
-
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
         order = np.lexsort((coo.rows, coo.cols))

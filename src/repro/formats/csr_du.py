@@ -7,16 +7,21 @@ byte stream ``ctl`` (see :mod:`repro.compress.ctl` for the wire format);
 matrices with local column patterns, which is exactly the paper's
 working-set reduction.
 
-Three SpMV tiers exist for this format:
+Two SpMV tiers exist for this format (:mod:`repro.kernels.registry`):
 
-* :meth:`CSRDUMatrix.spmv` -- vectorized; decodes the unit structure
-  once (cached) and reuses it, which mirrors the iterative-solver usage
-  the paper times (the *memory traffic* of the real kernel is what the
+* :meth:`CSRDUMatrix.spmv` (tier ``"cached"``) -- the width-class
+  batched decode through the cached kernel plan
+  (:mod:`repro.kernels.plan`); column indices are re-decoded from the
+  ``ctl`` bytes every call, which is the decode-on-the-fly work the
+  paper's kernel does (the *memory traffic* of that kernel is what the
   machine model accounts for, from the actual ``ctl`` byte counts);
-* :func:`repro.kernels.spmv.spmv_csr_du_unitwise` -- decodes the stream
-  on the fly every call (NumPy per unit);
-* :func:`repro.kernels.spmv.spmv_csr_du_reference` -- the paper's Fig. 3
-  kernel, line for line, in pure Python.
+* :func:`repro.kernels.reference.spmv_csr_du_reference` (tier
+  ``"reference"``) -- the paper's Fig. 3 kernel, line for line, in pure
+  Python, and the oracle the plan is tested against.
+
+:meth:`CSRDUMatrix.from_csr` encodes with the batched one-pass encoder;
+:func:`repro.compress.ctl.encode_ctl_reference` is the per-unit encode
+the tests hold it to.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.compress.ctl import CtlWriter, DecodedUnits, decode_units
-from repro.compress.delta import MAX_UNIT_SIZE, unitize
+from repro.compress.ctl import DecodedUnits, decode_units
+from repro.compress.delta import MAX_UNIT_SIZE
 from repro.compress.encode_batched import encode_ctl_batched
 from repro.errors import FormatError
 from repro.formats.base import SparseMatrix, Storage, register_format
@@ -106,7 +111,7 @@ class CSRDUMatrix(SparseMatrix):
         The plan amortizes the unit-header parse; the column indices
         are still re-decoded from the ctl bytes every call, and rows
         accumulate in element order (bit-identical to the reference
-        and unitwise kernels).
+        kernel).
         """
         from repro.kernels.plan import _check_x, get_plan
 
@@ -140,48 +145,28 @@ class CSRDUMatrix(SparseMatrix):
         *,
         policy: str = "greedy",
         max_unit: int = MAX_UNIT_SIZE,
-        encoder: str = "batched",
     ) -> "CSRDUMatrix":
         """Encode a CSR matrix (one ``O(nnz)`` pass, Section IV).
 
-        ``encoder`` selects the pipeline: ``"batched"`` (default) runs
-        the whole-matrix vectorized encoder and hands its unit table to
-        the kernel plan; ``"reference"`` walks units one by one through
-        :class:`~repro.compress.ctl.CtlWriter`.  Both produce the same
-        bytes -- the reference path is the executable specification the
-        equivalence tests compare against.
+        Runs the whole-matrix batched encoder and hands its unit table
+        to the kernel plan, so the first ``spmv`` skips the header scan.
         """
-        row_ptr = csr.row_ptr.astype(np.int64)
-        col_ind = csr.col_ind.astype(np.int64)
-        if encoder == "batched":
-            enc = encode_ctl_batched(
-                row_ptr, col_ind, policy=policy, max_unit=max_unit
-            )
-            matrix = cls(
-                csr.nrows,
-                csr.ncols,
-                enc.ctl,
-                csr.values,
-                policy=policy,
-                max_unit=max_unit,
-            )
-            matrix._unit_table = enc.table
-            return matrix
-        if encoder != "reference":
-            raise FormatError(
-                f"unknown encoder {encoder!r}; choose 'batched' or 'reference'"
-            )
-        writer = CtlWriter()
-        for unit in unitize(row_ptr, col_ind, policy=policy, max_unit=max_unit):
-            writer.append(unit)
-        return cls(
+        enc = encode_ctl_batched(
+            csr.row_ptr.astype(np.int64),
+            csr.col_ind.astype(np.int64),
+            policy=policy,
+            max_unit=max_unit,
+        )
+        matrix = cls(
             csr.nrows,
             csr.ncols,
-            writer.getvalue(),
+            enc.ctl,
             csr.values,
             policy=policy,
             max_unit=max_unit,
         )
+        matrix._unit_table = enc.table
+        return matrix
 
     def to_csr(self) -> CSRMatrix:
         """Decode back to plain CSR (exact round-trip)."""

@@ -90,16 +90,11 @@ class CSRDUVIMatrix(SparseMatrix):
         *,
         policy: str = "greedy",
         max_unit: int = MAX_UNIT_SIZE,
-        encoder: str = "batched",
     ) -> "CSRDUVIMatrix":
-        du = CSRDUMatrix.from_csr(
-            csr, policy=policy, max_unit=max_unit, encoder=encoder
-        )
+        du = CSRDUMatrix.from_csr(csr, policy=policy, max_unit=max_unit)
         uv = unique_index_values(csr.values)
         matrix = cls(csr.nrows, csr.ncols, du.ctl, uv.vals_unique, uv.val_ind)
-        table = getattr(du, "_unit_table", None)
-        if table is not None:
-            matrix._unit_table = table
+        matrix._unit_table = du._unit_table
         return matrix
 
     def to_csr(self) -> CSRMatrix:

@@ -1,6 +1,5 @@
 """SpMV kernels, in tiers, plus a registry keyed by (format, tier)."""
 
-from repro.kernels.batched import spmv_csr_du_batched, spmv_csr_du_vi_batched
 from repro.kernels.plan import (
     CSRDUPlan,
     CSRPlan,
@@ -10,29 +9,19 @@ from repro.kernels.plan import (
 )
 from repro.kernels.reference import (
     spmv_csr_du_reference,
+    spmv_csr_du_vi_reference,
     spmv_csr_reference,
     spmv_csr_vi_reference,
     spmv_dcsr_reference,
 )
 from repro.kernels.registry import KernelSpec, available_kernels, get_kernel
-from repro.kernels.vectorized import (
-    spmv_csr_du_unitwise,
-    spmv_csr_du_vi_vectorized,
-    spmv_csr_vectorized,
-    spmv_csr_vi_vectorized,
-)
 
 __all__ = [
     "spmv_csr_reference",
     "spmv_csr_du_reference",
     "spmv_csr_vi_reference",
+    "spmv_csr_du_vi_reference",
     "spmv_dcsr_reference",
-    "spmv_csr_vectorized",
-    "spmv_csr_du_unitwise",
-    "spmv_csr_vi_vectorized",
-    "spmv_csr_du_vi_vectorized",
-    "spmv_csr_du_batched",
-    "spmv_csr_du_vi_batched",
     "CSRPlan",
     "CSRDUPlan",
     "PLANNABLE_FORMATS",

@@ -6,8 +6,8 @@ iteration would otherwise recompute -- the ``int64`` cast of CSR's
 and (for CSR-DU) the variable-length unit-header parse of the ctl
 stream.  :func:`get_plan` builds the plan on first use, caches it on
 the matrix object, and hands the cached instance back on every later
-call; the batched kernels, the formats' ``spmv``/``spmm`` methods and
-:class:`~repro.parallel.executor.ParallelSpMV` all share it.
+call; the formats' ``spmv``/``spmm`` methods and
+:class:`~repro.parallel.executor.ParallelSpMV` share it.
 
 Two plan families cover the four plannable formats:
 

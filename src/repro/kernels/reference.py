@@ -1,12 +1,14 @@
 """Reference SpMV kernels -- the paper's pseudocode, line for line.
 
-These are the ground truth the vectorized kernels and the cost model
-are validated against.  They are pure Python (slow, tests-and-small-
+These are the ground truth the formats' plan-backed ``spmv`` and the
+cost model are validated against, and the last tier of every guarded
+fallback chain (:mod:`repro.kernels.registry`).  They are pure Python (slow, tests-and-small-
 matrices only) and deliberately mirror the listings in the paper:
 
 * :func:`spmv_csr_reference` -- the CSR loop of Section II-B;
 * :func:`spmv_csr_du_reference` -- Fig. 3 (ctl byte stream decode);
 * :func:`spmv_csr_vi_reference` -- Fig. 5 (value indirection);
+* :func:`spmv_csr_du_vi_reference` -- Fig. 3 over Fig. 5's values;
 * :func:`spmv_dcsr_reference` -- the command-dispatch loop of [19].
 
 Each kernel also returns an *operation census* via an optional
@@ -23,6 +25,7 @@ from repro.compress.ctl import FLAG_NR, FLAG_RJMP, FLAG_SEQ
 from repro.errors import EncodingError
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
 from repro.formats.csr_vi import CSRVIMatrix
 from repro.formats.dcsr import (
     CMD_DELTA8,
@@ -74,9 +77,29 @@ def spmv_csr_du_reference(
     the new-row flag, add the ``ujmp`` distance, then run the per-class
     inner multiplication loop over the fixed-width deltas.
     """
-    ctl = matrix.ctl
-    values = matrix.values
-    y = np.zeros(matrix.nrows, dtype=np.float64)
+    return _csr_du_walk(matrix.ctl, matrix.values, matrix.nrows, x, counters)
+
+
+def spmv_csr_du_vi_reference(
+    matrix: CSRDUVIMatrix, x: np.ndarray, counters: dict | None = None
+) -> np.ndarray:
+    """CSR-DU-VI: the Fig. 3 ctl decode over ``vals_unique[val_ind]``.
+
+    The value gather happens once up front; the multiply loop, and so
+    the per-row accumulation order, is exactly the CSR-DU kernel's.
+    """
+    values = matrix.vals_unique[matrix.val_ind]
+    return _csr_du_walk(matrix.ctl, values, matrix.nrows, x, counters)
+
+
+def _csr_du_walk(
+    ctl: bytes,
+    values: np.ndarray,
+    nrows: int,
+    x: np.ndarray,
+    counters: dict | None,
+) -> np.ndarray:
+    y = np.zeros(nrows, dtype=np.float64)
     pos = 0
     vidx = 0
     y_indx = -1

@@ -2,15 +2,11 @@
 
 Tiers:
 
-* ``"reference"`` -- pure Python, the paper's listings (ground truth);
-* ``"vectorized"`` -- NumPy, decode-on-the-fly where the format is
-  compressed;
-* ``"batched"`` -- plan-cached kernels (:mod:`repro.kernels.plan`):
-  width-class batched ctl decode for CSR-DU/CSR-DU-VI, cached
-  row-pointer reduction for CSR/CSR-VI;
-* ``"cached"`` -- the format's own :meth:`spmv` (structural decode
-  cached across calls; the iterative-use default -- plan-based for the
-  four plannable formats).
+* ``"cached"`` -- the format's own :meth:`spmv`, the one production
+  kernel (structural decode cached across calls; plan-based for the
+  four plannable formats, see :mod:`repro.kernels.plan`);
+* ``"reference"`` -- pure Python, the paper's listings (ground truth,
+  and the test oracle for ``"cached"``).
 
 ``get_kernel(format_name, tier)`` returns a uniform
 ``kernel(matrix, x) -> y`` callable.
@@ -24,9 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import FormatError
-from repro.kernels import batched as _bat
 from repro.kernels import reference as _ref
-from repro.kernels import vectorized as _vec
 
 
 @dataclass(frozen=True)
@@ -47,20 +41,10 @@ def _cached(matrix, x):
 
 _KERNELS: dict[tuple[str, str], Callable] = {
     ("csr", "reference"): _ref.spmv_csr_reference,
-    ("csr", "vectorized"): _vec.spmv_csr_vectorized,
     ("csr-du", "reference"): _ref.spmv_csr_du_reference,
-    ("csr-du", "vectorized"): _vec.spmv_csr_du_unitwise,
     ("csr-vi", "reference"): _ref.spmv_csr_vi_reference,
-    ("csr-vi", "vectorized"): _vec.spmv_csr_vi_vectorized,
-    ("csr-du-vi", "vectorized"): _vec.spmv_csr_du_vi_vectorized,
+    ("csr-du-vi", "reference"): _ref.spmv_csr_du_vi_reference,
     ("dcsr", "reference"): _ref.spmv_dcsr_reference,
-    # Plan-cached tier.  For the row-pointer formats the vectorized
-    # kernels already run through the plan, so the tier is an alias;
-    # for the delta-unit formats it is the width-class batched decode.
-    ("csr", "batched"): _vec.spmv_csr_vectorized,
-    ("csr-vi", "batched"): _vec.spmv_csr_vi_vectorized,
-    ("csr-du", "batched"): _bat.spmv_csr_du_batched,
-    ("csr-du-vi", "batched"): _bat.spmv_csr_du_vi_batched,
 }
 
 # Every registered format supports the "cached" tier through its spmv().
@@ -80,14 +64,13 @@ for _name in (
 
 
 #: Tier order walked by guarded execution: a decode failure at one tier
-#: re-runs on the next (cheapest-first; "reference" is the ground-truth
-#: terminus).  Tiers a format does not register, or registers as an
-#: alias of an earlier tier's kernel, are skipped.
-FALLBACK_ORDER: tuple[str, ...] = ("batched", "vectorized", "reference")
+#: re-runs on the next ("reference" is the ground-truth terminus).
+#: Tiers a format does not register are skipped.
+FALLBACK_ORDER: tuple[str, ...] = ("cached", "reference")
 
 
 def fallback_chain(
-    format_name: str, start_tier: str = "batched"
+    format_name: str, start_tier: str = "cached"
 ) -> tuple[KernelSpec, ...]:
     """The format's guarded-execution chain, from *start_tier* down.
 
@@ -100,20 +83,17 @@ def fallback_chain(
             f"order is {FALLBACK_ORDER}"
         )
     idx = FALLBACK_ORDER.index(start_tier)
-    # A tier that aliases an earlier one (CSR's "batched" is its
-    # "vectorized" kernel) would re-run the same function, so it is
-    # dropped.
-    chain: list[KernelSpec] = []
-    for tier in FALLBACK_ORDER[idx:]:
-        func = _KERNELS.get((format_name, tier))
-        if func is not None and all(spec.func is not func for spec in chain):
-            chain.append(get_kernel(format_name, tier))
+    chain = tuple(
+        get_kernel(format_name, tier)
+        for tier in FALLBACK_ORDER[idx:]
+        if (format_name, tier) in _KERNELS
+    )
     if not chain:
         raise FormatError(
             f"format {format_name!r} has no kernels at or below tier "
             f"{start_tier!r}"
         )
-    return tuple(chain)
+    return chain
 
 
 def get_kernel(format_name: str, tier: str = "cached") -> KernelSpec:

@@ -3,24 +3,24 @@
 The paper's central finding is that the best compression scheme
 (CSR-DU vs CSR-VI vs plain CSR) depends on matrix *structure* -- delta
 widths, value redundancy, bandwidth pressure -- yet until this package
-every entry point made a human pick the format, kernel tier, thread
-count and backend by hand.  The advisor closes that loop:
+every entry point made a human pick the format, thread count and
+backend by hand.  The advisor closes that loop:
 
 * :mod:`repro.perf.advisor.features` -- one cheap ``O(nnz)`` pass over
   a matrix producing a frozen, hashable :class:`MatrixFeatures` record
   (row-length stats, delta-width histogram, unique-value ratio,
   diagonal/bandwidth locality, density);
 * :mod:`repro.perf.advisor.model` -- an analytic cost model scoring
-  every candidate ``(format, kernel tier, threads, backend,
-  partition)`` configuration from estimated bytes moved and kernel
-  cycles, optionally sharpened by a wall-clock
+  every candidate ``(format, threads, backend)`` configuration from
+  estimated bytes moved and kernel cycles, optionally sharpened by a
+  wall-clock
   :class:`Calibration` measured on the current host
   (``tools/calibrate.py --advisor-out``);
 * :mod:`repro.perf.advisor.advisor` -- :func:`advise` ranks the
   candidates into a :class:`RankedChoice`, folds recorded
   :class:`~repro.perf.attribution.Attribution` history over the
   analytic prior (measurements always win), emits ``advisor.pick``
-  telemetry, and backs the ``"auto"`` format/kernel/threads choices
+  telemetry, and backs the ``"auto"`` format/threads choices
   wired through :func:`repro.parallel.backends.make_executor`, the
   bench CLI, and :meth:`repro.storage.shard.ShardStore.build`.
 
@@ -34,7 +34,6 @@ from repro.perf.advisor.advisor import (
     RankedChoice,
     advise,
     advise_format,
-    advise_kernel,
     advise_threads,
     history_from_attributions,
     load_checkpoint_history,
@@ -57,7 +56,6 @@ __all__ = [
     "RankedChoice",
     "advise",
     "advise_format",
-    "advise_kernel",
     "advise_threads",
     "history_from_attributions",
     "load_checkpoint_history",

@@ -35,7 +35,6 @@ from repro.machine.topology import MachineSpec
 from repro.perf.advisor.features import MatrixFeatures, extract_features
 from repro.perf.advisor.model import (
     ADVISOR_FORMATS,
-    ADVISOR_KERNELS,
     Calibration,
     CandidateConfig,
     Prediction,
@@ -50,7 +49,6 @@ __all__ = [
     "RankedChoice",
     "advise",
     "advise_format",
-    "advise_kernel",
     "advise_threads",
     "history_from_attributions",
     "load_checkpoint_history",
@@ -176,7 +174,6 @@ def advise(
     matrix_id: int = -1,
     clock: str = "real",
     formats: tuple[str, ...] = ADVISOR_FORMATS,
-    kernels: tuple[str, ...] = ADVISOR_KERNELS,
     threads: tuple[int, ...] = (1,),
     backends: tuple[str, ...] = ("thread",),
     machine: MachineSpec | None = None,
@@ -207,7 +204,7 @@ def advise(
             "calibration must be a Calibration instance or None"
         )
     candidates = candidate_configs(
-        formats=formats, kernels=kernels, threads=threads, backends=backends
+        formats=formats, threads=threads, backends=backends
     )
     predictions = [
         predict(
@@ -241,10 +238,8 @@ def advise(
         record_advisor_pick(
             matrix_id=matrix_id,
             format_name=best.config.format_name,
-            kernel=best.config.kernel,
             threads=best.config.threads,
             backend=best.config.backend,
-            partition=best.config.partition,
             predicted_s=best.seconds,
             realized_s=0.0,
             source=best.source,
@@ -270,10 +265,8 @@ def record_realized(
     record_advisor_pick(
         matrix_id=matrix_id,
         format_name=best.config.format_name,
-        kernel=best.config.kernel,
         threads=best.config.threads,
         backend=best.config.backend,
-        partition=best.config.partition,
         predicted_s=best.seconds,
         realized_s=float(realized_s),
         source=best.source,
@@ -301,30 +294,11 @@ def advise_format(
         matrix_id=matrix_id,
         clock=clock,
         formats=formats,
-        kernels=("cached",),
         threads=(max(1, threads),),
         backends=(backend,),
         history=history,
     )
     return choice.config.format_name
-
-
-def advise_kernel(
-    matrix,
-    format_name: str,
-    *,
-    clock: str = "real",
-    matrix_id: int = -1,
-) -> str:
-    """The kernel tier ``"auto"`` resolves to for (*matrix*, format)."""
-    choice = advise(
-        matrix,
-        matrix_id=matrix_id,
-        clock=clock,
-        formats=(format_name,),
-        kernels=ADVISOR_KERNELS,
-    )
-    return choice.config.kernel
 
 
 def advise_threads(
@@ -348,7 +322,6 @@ def advise_threads(
         matrix_id=matrix_id,
         clock=clock,
         formats=(format_name,),
-        kernels=("cached",),
         threads=tuple(sorted(set(candidates))),
         backends=(backend,),
     )

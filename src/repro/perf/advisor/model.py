@@ -15,21 +15,20 @@ Two prediction regimes share one entry point (:func:`predict`):
 
 * **Calibrated** (preferred under the real clock, graceful fallback
   when absent): a :class:`Calibration` measured on the current host
-  (``tools/calibrate.py --advisor-out``) stores per-``(format, tier)``
-  ns/nnz throughputs plus per-call and per-worker dispatch overheads.
-  Wall-clock on this pure-Python stack is dominated by interpreter
-  and NumPy dispatch costs the machine model does not see (e.g. the
-  unitwise CSR-DU decode is ~2 orders of magnitude off its C-code
-  cost), so measured throughput is the only honest real-clock
-  predictor.  The thread backend's multi-worker cells are modeled as
-  *undivided* serial work plus dispatch (the GIL), the process
+  (``tools/calibrate.py --advisor-out``) stores per-format ns/nnz
+  throughputs of the format's own ``spmv`` plus per-call and
+  per-worker dispatch overheads.  Wall-clock on this pure-Python stack
+  is dominated by interpreter and NumPy dispatch costs the machine
+  model does not see, so measured throughput is the only honest
+  real-clock predictor.  The thread backend's multi-worker cells are
+  modeled as *undivided* serial work plus dispatch (the GIL), the process
   backend's as work divided over ``min(threads, host cpus)`` plus IPC
   overhead -- both shapes verified by ``BENCH_parallel.json``.
 
-The analytic tier factors below encode the same Python reality for the
-uncalibrated path: they are implementation-throughput ratios, not
-machine-model quantities, and a real :class:`Calibration` replaces
-them entirely.
+Every candidate runs the format's own ``spmv`` (the ``"cached"``
+kernel tier); the other registered tier, ``"reference"``, is the
+paper's pure-Python listing and never a performance choice, so the
+search space has no kernel axis.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.util import hostinfo
 
 __all__ = [
     "ADVISOR_FORMATS",
-    "ADVISOR_KERNELS",
     "Calibration",
     "CandidateConfig",
     "Prediction",
@@ -62,20 +60,8 @@ __all__ = [
 #: Formats the advisor ranks: the paper's compression lattice.
 ADVISOR_FORMATS = ("csr", "csr-vi", "csr-du", "csr-du-vi")
 
-#: Kernel tiers the advisor ranks by default.  "batched" aliases
-#: "vectorized" for the row-pointer formats and is within noise of
-#: "cached" for the delta formats, so ranking these two spans the real
-#: spread; "reference" is the ground-truth tier, never a perf choice.
-ADVISOR_KERNELS = ("cached", "vectorized")
-
-#: Analytic per-call overhead (Python call + argument checks), and the
-#: uncalibrated implementation-throughput factors described above.
+#: Analytic per-call overhead (Python call + argument checks).
 ANALYTIC_CALL_OVERHEAD_S = 5e-6
-TIER_CYCLE_FACTOR = {
-    ("csr-du", "vectorized"): 80.0,  # unitwise Python decode loop
-    ("csr-du-vi", "vectorized"): 1.0,
-}
-REFERENCE_TIER_FACTOR = 50.0  # pure-Python per-element loops
 
 #: Uncalibrated executor dispatch estimates (seconds per call): the
 #: thread pool's per-worker wake/join, and the process pool's IPC.
@@ -90,32 +76,21 @@ _CLASS_BYTES = (1, 2, 4, 8)
 
 @dataclass(frozen=True)
 class CandidateConfig:
-    """One point of the advisor's search space (frozen, hashable).
-
-    ``partition`` is carried for completeness -- every executor in the
-    repo splits by contiguous row blocks today, so ``"row"`` is the
-    only value in play, but the axis is part of the ranking record so
-    history stays comparable if column/block partitioners land.
-    """
+    """One point of the advisor's search space (frozen, hashable)."""
 
     format_name: str
-    kernel: str = "cached"
     threads: int = 1
     backend: str = "thread"
-    partition: str = "row"
 
     def describe(self) -> str:
-        return (
-            f"{self.format_name}/{self.kernel}"
-            f" x{self.threads} {self.backend}/{self.partition}"
-        )
+        return f"{self.format_name} x{self.threads} {self.backend}"
 
 
 @dataclass(frozen=True)
 class Prediction:
     """A scored candidate: predicted seconds plus provenance.
 
-    ``source`` is ``"analytic"`` (machine model + tier factors),
+    ``source`` is ``"analytic"`` (machine model),
     ``"calibrated"`` (host-measured throughputs), or ``"history"``
     (a real :class:`~repro.perf.attribution.Attribution` measurement
     folded over the prior by the advisor).
@@ -172,40 +147,19 @@ def estimate_bytes(
 def candidate_configs(
     *,
     formats: tuple[str, ...] = ADVISOR_FORMATS,
-    kernels: tuple[str, ...] = ADVISOR_KERNELS,
     threads: tuple[int, ...] = (1,),
     backends: tuple[str, ...] = ("thread",),
 ) -> tuple[CandidateConfig, ...]:
-    """The cross product, restricted to registered kernels.
-
-    Multi-worker cells always execute shard kernels (the format's own
-    ``spmv``), so thread counts above one are emitted only at the
-    ``"cached"`` tier -- ranking a per-call kernel tier the executor
-    would never run would be noise.
-    """
-    from repro.kernels.registry import available_kernels
-
-    registered = set(available_kernels())
-    out: list[CandidateConfig] = []
-    for fmt in formats:
-        for tier in kernels:
-            if (fmt, tier) not in registered:
-                continue
-            for backend in backends:
-                for t in threads:
-                    if t > 1 and tier != "cached":
-                        continue
-                    out.append(
-                        CandidateConfig(
-                            format_name=fmt,
-                            kernel=tier,
-                            threads=t,
-                            backend=backend,
-                        )
-                    )
+    """The cross product of formats, backends and thread counts."""
+    out = tuple(
+        CandidateConfig(format_name=fmt, threads=t, backend=backend)
+        for fmt in formats
+        for backend in backends
+        for t in threads
+    )
     if not out:
-        raise ReproError("no candidate configurations are registered")
-    return tuple(out)
+        raise ReproError("no candidate configurations to rank")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +170,7 @@ def candidate_configs(
 class Calibration:
     """Host-measured throughputs (see module docstring).
 
-    ``ns_per_nnz`` maps ``"format|tier"`` to nanoseconds per nonzero;
+    ``ns_per_nnz`` maps a format name to nanoseconds per nonzero;
     ``per_call_s`` is the fixed kernel-call overhead and
     ``thread_call_overhead_s`` / ``process_call_overhead_s`` the
     per-worker dispatch costs of one executor call.  ``host`` records
@@ -229,7 +183,7 @@ class Calibration:
     thread_call_overhead_s: float = THREAD_DISPATCH_S
     process_call_overhead_s: float = PROCESS_DISPATCH_S
     host: dict = field(default_factory=dict)
-    version: int = 1
+    version: int = 2
 
     @property
     def calibration_id(self) -> str:
@@ -249,8 +203,8 @@ class Calibration:
         )
         return hashlib.sha1(payload.encode("ascii")).hexdigest()[:12]
 
-    def lookup(self, format_name: str, tier: str) -> float | None:
-        return self.ns_per_nnz.get(f"{format_name}|{tier}")
+    def lookup(self, format_name: str) -> float | None:
+        return self.ns_per_nnz.get(format_name)
 
     def to_json(self) -> dict:
         return {
@@ -314,7 +268,7 @@ def load_calibration(path: str | None = None) -> Calibration | None:
 def measure_calibration(
     *, probe_size: int = 20_000, calls: int = 8, repeats: int = 3
 ) -> Calibration:
-    """Measure per-``(format, tier)`` throughputs on this host.
+    """Measure per-format ``spmv`` throughputs on this host.
 
     Two probes: a banded random matrix with quantized values (so the
     VI formats compress representatively) sized to dominate per-call
@@ -330,7 +284,6 @@ def measure_calibration(
 
     from repro.formats.conversions import convert
     from repro.formats.csr import CSRMatrix
-    from repro.kernels.registry import get_kernel
     from repro.matrices.generators import banded_random, dense_band
     from repro.matrices.values import quantized_values, set_matrix_values
     from repro.util.timing import measure
@@ -344,16 +297,15 @@ def measure_calibration(
     x_probe = rng.random(probe.ncols)
     x_tiny = rng.random(tiny.ncols)
 
-    def timed(matrix, fmt, tier, x):
+    def timed(matrix, fmt, x):
         converted = convert(matrix, fmt) if fmt != "csr" else matrix
-        kernel = get_kernel(fmt, tier)
-        kernel(converted, x)  # warm decode caches / plans
+        converted.spmv(x)  # warm decode caches / plans
         return measure(
-            lambda: kernel(converted, x), calls=calls, repeats=repeats
+            lambda: converted.spmv(x), calls=calls, repeats=repeats
         ).per_call
 
-    t_probe_csr = timed(probe, "csr", "cached", x_probe)
-    t_tiny_csr = timed(tiny, "csr", "cached", x_tiny)
+    t_probe_csr = timed(probe, "csr", x_probe)
+    t_tiny_csr = timed(tiny, "csr", x_tiny)
     # Two-point fit: t = per_call + slope * nnz.
     denom = probe.nnz - tiny.nnz
     per_call = max(
@@ -362,17 +314,9 @@ def measure_calibration(
 
     ns_per_nnz: dict[str, float] = {}
     for fmt in ADVISOR_FORMATS:
-        for tier in ADVISOR_KERNELS:
-            try:
-                t = (
-                    t_probe_csr
-                    if (fmt, tier) == ("csr", "cached")
-                    else timed(probe, fmt, tier, x_probe)
-                )
-            except Exception:  # unregistered tier: simply not calibrated
-                continue
-            ns = max(0.01, (t - per_call) * 1e9 / probe.nnz)
-            ns_per_nnz[f"{fmt}|{tier}"] = round(ns, 4)
+        t = t_probe_csr if fmt == "csr" else timed(probe, fmt, x_probe)
+        ns = max(0.01, (t - per_call) * 1e9 / probe.nnz)
+        ns_per_nnz[fmt] = round(ns, 4)
 
     from repro.parallel.executor import ParallelSpMV
 
@@ -414,12 +358,7 @@ def _analytic_cycles(
         cost = cost_model.csr_du_vi(nnz, rows, features.units_est)
     else:
         raise ReproError(f"advisor has no cycle model for {fmt!r}")
-    factor = 1.0
-    if config.kernel == "reference":
-        factor = REFERENCE_TIER_FACTOR
-    else:
-        factor = TIER_CYCLE_FACTOR.get((fmt, config.kernel), 1.0)
-    return cost.total * factor
+    return cost.total
 
 
 def predict(
@@ -435,8 +374,8 @@ def predict(
 
     ``clock="model"`` always uses the analytic machine-model regime
     (that is what model-clock benches are ranked for); ``clock="real"``
-    prefers *calibration* and falls back to the analytic regime with
-    the Python tier factors when none is given.
+    prefers *calibration* and falls back to the analytic regime when
+    none is given.
     """
     machine = machine or clovertown_8core()
     cost_model = cost_model or default_cost_model()
@@ -444,35 +383,29 @@ def predict(
     total_bytes = idx + val + vec
 
     ns = (
-        calibration.lookup(config.format_name, config.kernel)
+        calibration.lookup(config.format_name)
         if calibration is not None and clock == "real"
         else None
     )
     if ns is not None:
-        serial = calibration.per_call_s + ns * 1e-9 * features.nnz
+        work = ns * 1e-9 * features.nnz
         if config.threads <= 1:
-            seconds = serial
-        else:
-            # Multi-worker calls run shard kernels at the cached tier.
-            ns_cached = (
-                calibration.lookup(config.format_name, "cached") or ns
+            seconds = calibration.per_call_s + work
+        elif config.backend == "thread":
+            # The GIL serializes the chunks; dispatch is pure cost.
+            seconds = (
+                calibration.per_call_s
+                + config.threads * calibration.thread_call_overhead_s
+                + work
             )
-            work = ns_cached * 1e-9 * features.nnz
-            if config.backend == "thread":
-                # The GIL serializes the chunks; dispatch is pure cost.
-                seconds = (
-                    calibration.per_call_s
-                    + config.threads * calibration.thread_call_overhead_s
-                    + work
-                )
-            else:
-                cpus = int(self_host_cpus(calibration))
-                effective = max(1, min(config.threads, cpus))
-                seconds = (
-                    calibration.per_call_s
-                    + config.threads * calibration.process_call_overhead_s
-                    + work / effective
-                )
+        else:
+            cpus = int(self_host_cpus(calibration))
+            effective = max(1, min(config.threads, cpus))
+            seconds = (
+                calibration.per_call_s
+                + config.threads * calibration.process_call_overhead_s
+                + work / effective
+            )
         return Prediction(
             config=config,
             seconds=seconds,

@@ -4,8 +4,8 @@
   invariant checkers, checksum seals; surfaced as ``matrix.verify()``.
 * :mod:`repro.robust.inject` — deterministic seeded fault catalogue for
   the adversarial "no silent wrong answer" suite.
-* :mod:`repro.robust.guard` — kernel fallback chain (batched →
-  unitwise → reference) with ``kernel.fallback`` telemetry.
+* :mod:`repro.robust.guard` — kernel fallback chain (cached →
+  reference) with ``kernel.fallback`` telemetry.
 """
 
 from repro.robust.guard import GuardedKernel, guarded_spmv

@@ -3,15 +3,17 @@
 A compressed-format kernel can fail at decode time — a malformed
 ``ctl`` stream, a poisoned cached plan, a failed integrity check —
 long after the matrix was built.  :class:`GuardedKernel` wraps the
-registry's tier chain (batched → vectorized/unitwise → reference) so
+registry's tier chain (cached → reference: the format's plan-backed
+``spmv``, then the paper's pure-Python listing, which uses no plan) so
 one failing tier degrades instead of aborting: the cell re-runs on the
 next tier, a ``kernel.fallback`` counter records the transition (the
 dashboard surfaces degradation), and only a chain with *no* surviving
 tier raises.
 
-All tiers are bit-identical by construction (tier-1 locks that in), so
-a successful fallback changes nothing about the answer — only how
-expensively it was computed.
+Both tiers accumulate each row in element order, so they are
+bit-identical (``tests/robust/test_guard.py`` locks that in for every
+paper format): a successful fallback changes nothing about the answer —
+only how expensively it was computed.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class GuardedKernel:
     format_name:
         Registry name the chain is built for.
     start_tier:
-        First tier to try (default ``"batched"``); the chain continues
+        First tier to try (default ``"cached"``); the chain continues
         through the registry's fallback order from there.
     chain:
         Explicit sequence of kernels to try instead (tests, custom
@@ -51,7 +53,7 @@ class GuardedKernel:
         self,
         format_name: str,
         *,
-        start_tier: str = "batched",
+        start_tier: str = "cached",
         chain=None,
     ):
         self.format_name = format_name
@@ -96,6 +98,6 @@ class GuardedKernel:
         ) from last_exc
 
 
-def guarded_spmv(matrix, x: np.ndarray, *, start_tier: str = "batched") -> np.ndarray:
+def guarded_spmv(matrix, x: np.ndarray, *, start_tier: str = "cached") -> np.ndarray:
     """One-shot guarded ``y = A x`` using the matrix's own format chain."""
     return GuardedKernel(matrix.name, start_tier=start_tier)(matrix, x)

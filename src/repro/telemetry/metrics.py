@@ -428,10 +428,8 @@ def record_advisor_pick(
     *,
     matrix_id: int,
     format_name: str,
-    kernel: str,
     threads: int,
     backend: str,
-    partition: str,
     predicted_s: float,
     realized_s: float,
     source: str,
@@ -442,7 +440,9 @@ def record_advisor_pick(
     ``phase="advise"`` events carry the prediction (``realized_s`` 0);
     a caller that runs the pick reports back with ``phase="realized"``
     and the measured seconds, letting trace consumers compute the
-    advisor's prediction error per matrix.
+    advisor's prediction error per matrix.  Every pick runs the
+    format's own ``spmv`` over row blocks, so ``kernel`` is always
+    ``"cached"`` and ``partition`` always ``"row"``.
     """
     if not core.enabled():
         return
@@ -451,10 +451,10 @@ def record_advisor_pick(
         1,
         extra={
             "matrix_id": int(matrix_id),
-            "kernel": str(kernel),
+            "kernel": "cached",
             "threads": int(threads),
             "backend": str(backend),
-            "partition": str(partition),
+            "partition": "row",
             "predicted_s": float(predicted_s),
             "realized_s": float(realized_s),
             "source": str(source),

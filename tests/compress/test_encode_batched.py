@@ -1,7 +1,8 @@
 """Byte-identity of the batched one-pass encoder against the reference.
 
-The :class:`~repro.compress.ctl.CtlWriter` pipeline is the executable
-specification; :func:`~repro.compress.encode_batched.encode_ctl_batched`
+The per-unit :func:`~repro.compress.ctl.encode_ctl_reference` pipeline
+is the executable specification;
+:func:`~repro.compress.encode_batched.encode_ctl_batched`
 must reproduce its stream *byte for byte* (and ``scan_units``'s table
 field for field) across policies, width classes, RJMP empty-row jumps,
 and ``max_unit`` boundary sizes -- hypothesis drives the structures.
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress.ctl import CtlWriter, decode_units
-from repro.compress.delta import MAX_UNIT_SIZE, _POLICIES, unitize
+from repro.compress.ctl import decode_units, encode_ctl_reference
+from repro.compress.delta import _POLICIES
 from repro.compress.encode_batched import encode_ctl_batched, pack_value_index
 from repro.compress.unit_table import scan_units
 from repro.errors import EncodingError, FormatError
@@ -30,13 +31,6 @@ TABLE_FIELDS = (
 GRID = [(p, m) for p in _POLICIES for m in (2, 3, 7, 255)]
 
 
-def reference_ctl(row_ptr, col_ind, policy="greedy", max_unit=MAX_UNIT_SIZE):
-    w = CtlWriter()
-    for unit in unitize(row_ptr, col_ind, policy=policy, max_unit=max_unit):
-        w.append(unit)
-    return w.getvalue()
-
-
 def from_rows(rows):
     """(row_ptr, col_ind) from per-row sorted column lists."""
     lens = [len(r) for r in rows]
@@ -51,7 +45,9 @@ def from_rows(rows):
 
 
 def assert_equivalent(row_ptr, col_ind, policy, max_unit):
-    ref = reference_ctl(row_ptr, col_ind, policy, max_unit)
+    ref = encode_ctl_reference(
+        row_ptr, col_ind, policy=policy, max_unit=max_unit
+    )
     enc = encode_ctl_batched(
         row_ptr, col_ind, policy=policy, max_unit=max_unit
     )
@@ -187,14 +183,20 @@ class TestFormatIntegration:
             random_sparse_dense(60, 60, seed=7, quantize=8)
         )
 
+    def _reference_matrix(self, csr):
+        ctl = encode_ctl_reference(
+            csr.row_ptr.astype(np.int64), csr.col_ind.astype(np.int64)
+        )
+        return CSRDUMatrix(csr.nrows, csr.ncols, ctl, csr.values)
+
     def test_encoders_build_identical_matrices(self, csr):
-        batched = CSRDUMatrix.from_csr(csr, encoder="batched")
-        reference = CSRDUMatrix.from_csr(csr, encoder="reference")
+        batched = CSRDUMatrix.from_csr(csr)
+        reference = self._reference_matrix(csr)
         assert batched.ctl == reference.ctl
         assert np.array_equal(batched.values, reference.values)
 
     def test_batched_attaches_unit_table(self, csr):
-        du = CSRDUMatrix.from_csr(csr, encoder="batched")
+        du = CSRDUMatrix.from_csr(csr)
         table = du._unit_table
         scanned = scan_units(du.ctl)
         for field in TABLE_FIELDS:
@@ -204,14 +206,10 @@ class TestFormatIntegration:
 
     def test_spmv_agrees_across_encoders(self, csr):
         x = np.arange(csr.ncols, dtype=np.float64)
-        batched = CSRDUMatrix.from_csr(csr, encoder="batched")
-        reference = CSRDUMatrix.from_csr(csr, encoder="reference")
+        batched = CSRDUMatrix.from_csr(csr)
+        reference = self._reference_matrix(csr)
         assert np.array_equal(batched.spmv(x), reference.spmv(x))
         assert np.array_equal(batched.spmv(x), csr.spmv(x))
-
-    def test_unknown_encoder_rejected(self, csr):
-        with pytest.raises(FormatError, match="encoder"):
-            CSRDUMatrix.from_csr(csr, encoder="quantum")
 
 
 class TestPackValueIndex:
@@ -243,7 +241,7 @@ class TestErrorParity:
     def _both(self, row_ptr, col_ind):
         row_ptr = np.asarray(row_ptr, dtype=np.int64)
         col_ind = np.asarray(col_ind, dtype=np.int64)
-        ref = self._outcome(reference_ctl, row_ptr, col_ind)
+        ref = self._outcome(encode_ctl_reference, row_ptr, col_ind)
         bat = self._outcome(
             lambda rp, ci: encode_ctl_batched(rp, ci).ctl, row_ptr, col_ind
         )

@@ -149,14 +149,12 @@ class TestSeqFormat:
 
     def test_all_kernels_handle_seq(self):
         from repro.kernels.reference import spmv_csr_du_reference
-        from repro.kernels.vectorized import spmv_csr_du_unitwise
 
         csr = to_csr(diagonal_bands(100, tuple(range(-3, 4))))
         du = CSRDUMatrix.from_csr(csr, policy="seq")
         x = np.random.default_rng(1).random(100)
         expected = csr.spmv(x)
         assert np.allclose(spmv_csr_du_reference(du, x), expected)
-        assert np.allclose(spmv_csr_du_unitwise(du, x), expected)
         assert np.allclose(du.spmv(x), expected)
 
     def test_traffic_accounts_seq(self):

@@ -32,27 +32,6 @@ class TestOperations:
         x = np.random.default_rng(3).random(22)
         assert np.allclose(csc.spmv(x), dense @ x)
 
-    def test_col_slice(self, paper_matrix, paper_dense):
-        csc = CSCMatrix.from_csr(paper_matrix)
-        sub = csc.col_slice(2, 5)
-        assert sub.shape == (6, 3)
-        assert np.allclose(sub.to_dense(), paper_dense[:, 2:5])
-
-    def test_col_slices_sum_to_whole(self, paper_matrix, paper_dense):
-        """Column partitioning: y = sum of per-block partial products."""
-        csc = CSCMatrix.from_csr(paper_matrix)
-        x = np.arange(6.0)
-        partials = [
-            csc.col_slice(lo, hi).spmv(x[lo:hi])
-            for lo, hi in [(0, 2), (2, 4), (4, 6)]
-        ]
-        assert np.allclose(sum(partials), paper_dense @ x)
-
-    def test_col_slice_out_of_range(self, paper_matrix):
-        csc = CSCMatrix.from_csr(paper_matrix)
-        with pytest.raises(FormatError):
-            csc.col_slice(3, 8)
-
     def test_round_trip_through_coo(self):
         dense = random_sparse_dense(10, 13, seed=18, empty_rows=True)
         csc = CSCMatrix.from_coo(COOMatrix.from_dense(dense))

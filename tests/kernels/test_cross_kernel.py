@@ -1,11 +1,12 @@
-"""Cross-kernel bit-identity: reference, unitwise and batched CSR-DU
-kernels must produce *exactly* the same ``y`` -- same bits, not merely
-allclose -- on any matrix and any ctl policy.
+"""Cross-kernel bit-identity: the paper's reference CSR-DU kernel and
+the plan-backed ``CSRDUMatrix.spmv`` must produce *exactly* the same
+``y`` -- same bits, not merely allclose -- on any matrix and any ctl
+policy.
 
-This works because all three kernels accumulate each row's products in
-element order with scalar-equivalent adds (the reference loop, the
-unitwise carried ``cumsum`` chain, and the batched ``np.add.at``), so
-there is no floating-point ordering slack to hide behind."""
+This works because both kernels accumulate each row's products in
+element order with scalar-equivalent adds (the reference loop and the
+plan's ``np.add.at``), so there is no floating-point ordering slack to
+hide behind."""
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from repro.compress.unit_table import BatchedColumnDecoder, scan_units
 from repro.errors import EncodingError
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
-from repro.kernels.batched import spmv_csr_du_batched
 from repro.kernels.plan import CSRDUPlan
 from repro.kernels.reference import spmv_csr_du_reference
-from repro.kernels.vectorized import spmv_csr_du_unitwise
 from tests.conftest import PAPER_DENSE, random_sparse_dense
 
 POLICIES = ("greedy", "aligned", "seq")
@@ -33,11 +32,8 @@ def assert_kernels_bit_identical(dense: np.ndarray, policy: str, seed: int = 0):
     du = CSRDUMatrix.from_csr(csr, policy=policy)
     x = np.random.default_rng(seed).random(dense.shape[1]) - 0.5
     y_ref = spmv_csr_du_reference(du, x)
-    y_unit = spmv_csr_du_unitwise(du, x)
-    y_bat = spmv_csr_du_batched(du, x)
-    assert np.array_equal(y_ref, y_unit), "unitwise differs from reference"
-    assert np.array_equal(y_ref, y_bat), "batched differs from reference"
-    # And all are right, not merely identically wrong.
+    assert np.array_equal(y_ref, du.spmv(x)), "spmv differs from reference"
+    # And both are right, not merely identically wrong.
     assert np.allclose(y_ref, dense @ x, atol=1e-9)
 
 
@@ -116,7 +112,7 @@ class TestCrossKernelEdgeCases:
     def test_u64_class_units(self):
         """A hand-built stream using the u64 width class (the encoder
         never emits it for columns that fit u32, but the wire format
-        and both decoders must handle it)."""
+        and both kernels must handle it)."""
         writer = CtlWriter()
         writer.append(
             Unit(
@@ -149,9 +145,7 @@ class TestCrossKernelEdgeCases:
             BatchedColumnDecoder(ctl, table, 6).columns(), [2, 5, 6, 13, 0, 40]
         )
         x = np.random.default_rng(11).random(60)
-        y_ref = spmv_csr_du_reference(du, x)
-        assert np.array_equal(y_ref, spmv_csr_du_unitwise(du, x))
-        assert np.array_equal(y_ref, spmv_csr_du_batched(du, x))
+        assert np.array_equal(spmv_csr_du_reference(du, x), du.spmv(x))
 
 
 class TestScannerErrors:

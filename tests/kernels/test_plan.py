@@ -55,22 +55,16 @@ class TestPlanCaching:
 
 
 class TestRegistry:
-    def test_batched_tier_registered(self):
-        kernels = dict.fromkeys(available_kernels())
+    def test_only_cached_and_reference_tiers(self):
+        tiers = {tier for _, tier in available_kernels()}
+        assert tiers == {"cached", "reference"}
         for fmt in PLANNABLE_FORMATS:
-            assert (fmt, "batched") in kernels
-
-    @pytest.mark.parametrize("fmt", PLANNABLE_FORMATS)
-    def test_batched_matches_cached(self, csr, fmt):
-        m = convert(csr, fmt)
-        x = np.random.default_rng(2).random(m.ncols)
-        y_batched = get_kernel(fmt, "batched")(m, x)
-        y_cached = get_kernel(fmt, "cached")(m, x)
-        assert np.array_equal(y_batched, y_cached)
+            assert (fmt, "cached") in available_kernels()
+            assert (fmt, "reference") in available_kernels()
 
     def test_default_spmv_is_plan_backed(self, csr):
         """Tier-1 smoke: the default ('cached') CSR-DU kernel selects
-        the batched plan path -- evidenced by the plan materializing."""
+        the plan path -- evidenced by the plan materializing."""
         du = convert(csr, "csr-du")
         kernel = get_kernel("csr-du")  # default tier
         kernel(du, np.random.default_rng(3).random(du.ncols))

@@ -1,4 +1,5 @@
-"""Vectorized kernels must agree with the reference kernels exactly."""
+"""The formats' vectorized ``spmv`` (the registry's ``"cached"`` tier)
+must agree with the dense product and the reference kernels."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,6 @@ from repro.formats import (
     CSRDUVIMatrix,
     CSRMatrix,
     CSRVIMatrix,
-)
-from repro.kernels.reference import spmv_csr_du_reference
-from repro.kernels.vectorized import (
-    spmv_csr_du_unitwise,
-    spmv_csr_du_vi_vectorized,
-    spmv_csr_vectorized,
-    spmv_csr_vi_vectorized,
 )
 
 from tests.conftest import random_sparse_dense
@@ -38,40 +32,26 @@ def case(request):
 class TestAgreement:
     def test_csr(self, case):
         dense, csr, x = case
-        assert np.allclose(spmv_csr_vectorized(csr, x), dense @ x)
-
-    def test_csr_du_unitwise_matches_reference(self, case):
-        _, csr, x = case
-        du = CSRDUMatrix.from_csr(csr)
-        ref = spmv_csr_du_reference(du, x)
-        vec = spmv_csr_du_unitwise(du, x)
-        assert np.allclose(vec, ref, atol=1e-12)
+        assert np.allclose(csr.spmv(x), dense @ x)
 
     def test_csr_vi(self, case):
         dense, csr, x = case
         vi = CSRVIMatrix.from_csr(csr)
-        assert np.allclose(spmv_csr_vi_vectorized(vi, x), dense @ x)
+        assert np.allclose(vi.spmv(x), dense @ x)
 
     def test_csr_du_vi(self, case):
         dense, csr, x = case
         duvi = CSRDUVIMatrix.from_csr(csr)
-        assert np.allclose(spmv_csr_du_vi_vectorized(duvi, x), dense @ x)
-
-    def test_unitwise_matches_cached(self, case):
-        """On-the-fly decode and cached decode must agree bit-for-bit in
-        structure (same columns, same order of operations per unit)."""
-        _, csr, x = case
-        du = CSRDUMatrix.from_csr(csr)
-        assert np.allclose(spmv_csr_du_unitwise(du, x), du.spmv(x), atol=1e-12)
+        assert np.allclose(duvi.spmv(x), dense @ x)
 
 
 class TestShapeChecks:
     def test_wrong_x_shape(self, paper_matrix):
         du = CSRDUMatrix.from_csr(paper_matrix)
         with pytest.raises(FormatError):
-            spmv_csr_du_unitwise(du, np.ones(7))
+            du.spmv(np.ones(7))
         with pytest.raises(FormatError):
-            spmv_csr_vectorized(paper_matrix, np.ones((6, 1)))
+            paper_matrix.spmv(np.ones((6, 1)))
 
 
 class TestRegistry:
@@ -79,7 +59,7 @@ class TestRegistry:
         from repro.kernels.registry import available_kernels, get_kernel
 
         x = np.ones(6)
-        k = get_kernel("csr", "vectorized")
+        k = get_kernel("csr", "cached")
         assert np.allclose(k(paper_matrix, x), paper_dense @ x)
         assert ("csr-du", "reference") in available_kernels()
 

@@ -31,7 +31,6 @@ from repro.perf.advisor import (
     RankedChoice,
     advise,
     advise_format,
-    advise_kernel,
     advise_threads,
     history_from_attributions,
     load_calibration,
@@ -62,9 +61,9 @@ def test_advise_returns_sorted_full_ranking(band):
     assert isinstance(choice, RankedChoice)
     seconds = [p.seconds for p in choice.ranking]
     assert seconds == sorted(seconds)
-    # Every candidate format at both tiers is scored.
-    scored = {(p.config.format_name, p.config.kernel) for p in choice.ranking}
-    assert {f for f, _ in scored} == set(ADVISOR_FORMATS)
+    # Every candidate format is scored, once.
+    scored = [p.config.format_name for p in choice.ranking]
+    assert sorted(scored) == sorted(ADVISOR_FORMATS)
     assert choice.best is choice.ranking[0]
     assert choice.top(3) == choice.ranking[:3]
 
@@ -97,12 +96,10 @@ def test_measured_regret_within_bound(band):
     best = choice.config
 
     from repro.formats.conversions import convert
-    from repro.kernels.registry import get_kernel
 
     conv = convert(band, best.format_name)
-    kernel = get_kernel(best.format_name, best.kernel)
-    kernel(conv, x)  # warm
-    picked_s = measure(lambda: kernel(conv, x), calls=3, repeats=3).per_call
+    conv.spmv(x)  # warm
+    picked_s = measure(lambda: conv.spmv(x), calls=3, repeats=3).per_call
     band.spmv(x)  # warm
     csr_s = measure(lambda: band.spmv(x), calls=3, repeats=3).per_call
     assert picked_s <= REGRET_BOUND * csr_s
@@ -170,12 +167,13 @@ def test_advisor_pick_telemetry_schema(band):
     for e in events:
         assert required <= set(e["attrs"])
         assert e["attrs"]["matrix_id"] == 7
+        assert (e["attrs"]["kernel"], e["attrs"]["partition"]) == ("cached", "row")
     assert events[1]["attrs"]["realized_s"] == pytest.approx(3.5e-4)
 
 
 def test_calibration_round_trip(tmp_path):
     cal = Calibration(
-        ns_per_nnz={"csr|cached": 6.5, "csr-du|cached": 12.0},
+        ns_per_nnz={"csr": 6.5, "csr-du": 12.0},
         per_call_s=5e-6,
         thread_call_overhead_s=6e-5,
         host={"cpus": 1},
@@ -184,8 +182,8 @@ def test_calibration_round_trip(tmp_path):
     loaded = load_calibration(path)
     assert loaded == cal
     assert loaded.calibration_id == cal.calibration_id
-    assert loaded.lookup("csr", "cached") == 6.5
-    assert loaded.lookup("csr", "nope") is None
+    assert loaded.lookup("csr") == 6.5
+    assert loaded.lookup("csr-vi") is None
 
 
 def test_load_calibration_graceful(tmp_path):
@@ -198,20 +196,15 @@ def test_load_calibration_graceful(tmp_path):
 def test_calibrated_predictions_rank_by_throughput(band):
     cal = Calibration(
         ns_per_nnz={
-            "csr|cached": 10.0,
-            "csr|vectorized": 50.0,
-            "csr-du|cached": 2.0,  # implausible, but must win
-            "csr-du|vectorized": 80.0,
-            "csr-vi|cached": 30.0,
-            "csr-vi|vectorized": 30.0,
-            "csr-du-vi|cached": 30.0,
-            "csr-du-vi|vectorized": 30.0,
+            "csr": 10.0,
+            "csr-du": 2.0,  # implausible, but must win
+            "csr-vi": 30.0,
+            "csr-du-vi": 30.0,
         },
         per_call_s=1e-6,
     )
     choice = advise(band, calibration=cal, emit=False)
     assert choice.config.format_name == "csr-du"
-    assert choice.config.kernel == "cached"
     assert choice.best.source == "calibrated"
     assert choice.calibration_id == cal.calibration_id
 
@@ -245,8 +238,6 @@ def test_history_overrides_prediction(band):
 def test_resolvers_return_plain_values(band):
     fmt = advise_format(band)
     assert fmt in ADVISOR_FORMATS
-    tier = advise_kernel(band, fmt)
-    assert tier in ("cached", "vectorized")
     threads = advise_threads(band)
     assert threads in (1, 2, 4, 8)
 
@@ -255,7 +246,6 @@ def test_harness_resolvers():
     from repro.bench.harness import (
         ExperimentConfig,
         resolve_formats,
-        resolve_kernel,
         resolve_thread_configs,
     )
 
@@ -265,7 +255,6 @@ def test_harness_resolvers():
         "csr",
         "csr-du",
     )
-    assert resolve_kernel(matrix, "csr", plain) == "cached"
 
     pinned = ExperimentConfig(
         scale=0.03125, format_override="csr-vi", threads_choice="2"
@@ -282,7 +271,6 @@ def test_harness_resolvers():
         clock="model",
         format_override="auto",
         threads_choice="auto",
-        kernel="auto",
     )
     formats = resolve_formats(matrix, ("csr", "csr-du"), auto)
     assert formats[0] == "csr"
@@ -292,7 +280,6 @@ def test_harness_resolvers():
     assert thread_configs[0] == (1, "close")
     threads, placement = thread_configs[-1]
     assert threads in (1, 2, 4, 8) and placement == "close"
-    assert resolve_kernel(matrix, "csr", auto) in ("cached", "vectorized")
 
 
 def test_run_set_with_auto_override_runs_end_to_end():

@@ -21,6 +21,14 @@ def csr():
     )
 
 
+@pytest.fixture(scope="module")
+def multiunit():
+    """Rows of ~500 nonzeros: each spans several ctl units (<= 255 each)."""
+    return CSRMatrix.from_dense(
+        random_sparse_dense(40, 2000, 0.25, seed=22, quantize=10, empty_rows=True)
+    )
+
+
 @pytest.fixture
 def collector():
     prev = telemetry.set_collector(telemetry.Collector())
@@ -50,8 +58,8 @@ class TestFallbackChain:
         "fmt", ("csr", "csr-vi", "csr-du", "csr-du-vi", "dcsr")
     )
     def test_no_kernel_runs_twice(self, fmt):
-        # CSR's "batched" tier aliases its "vectorized" kernel; a
-        # fallback onto the same function would only repeat the failure.
+        # A fallback onto the same function would only repeat the
+        # failure, so no tier may alias another.
         funcs = [spec.func for spec in fallback_chain(fmt)]
         assert len(set(map(id, funcs))) == len(funcs)
 
@@ -66,12 +74,26 @@ class TestFallbackChain:
 
 class TestGuardedKernel:
     @pytest.mark.parametrize("fmt", ("csr", "csr-du", "csr-vi", "csr-du-vi"))
-    def test_healthy_matches_unguarded(self, csr, fmt, collector):
-        m = convert(csr, fmt)
+    def test_healthy_matches_unguarded(self, multiunit, fmt, collector):
+        m = convert(multiunit, fmt)
         x = np.random.default_rng(2).random(m.ncols)
-        assert np.array_equal(guarded_spmv(m, x), m.spmv(x))
+        expected = m.spmv(x)
+        assert np.array_equal(guarded_spmv(m, x), expected)
         # No failure, no fallback events.
         assert _events(collector, "kernel.fallback") == []
+        # Every tier a fallback could land on gives the same answer,
+        # and the chain ends in the plan-free reference listing.
+        chain = fallback_chain(fmt)
+        assert [spec.tier for spec in chain] == ["cached", "reference"]
+        for spec in chain:
+            got = spec(m, x)
+            if fmt in ("csr-du", "csr-du-vi"):
+                # Both tiers add each row left to right: same bits.
+                assert np.array_equal(got, expected), spec.tier
+            else:
+                # The row-pointer plan reduces rows with np.add.reduceat
+                # (pairwise order), the reference loop left to right.
+                assert np.allclose(got, expected, rtol=1e-13, atol=0), spec.tier
 
     def test_fallback_is_bit_identical(self, csr, collector):
         """A failing first tier degrades to the next; the answer is the
@@ -86,9 +108,9 @@ class TestGuardedKernel:
             calls.append(1)
             raise EncodingError("poisoned plan")
 
-        failing.tier = "batched"
+        failing.tier = "cached"
         guarded = GuardedKernel(
-            "csr-du", chain=(failing, get_kernel("csr-du", "vectorized"))
+            "csr-du", chain=(failing, get_kernel("csr-du", "reference"))
         )
         got = guarded(du, x)
         assert calls == [1]
@@ -96,8 +118,8 @@ class TestGuardedKernel:
         events = _events(collector, "kernel.fallback")
         assert len(events) == 1
         attrs = events[0]["attrs"]
-        assert attrs["from_tier"] == "batched"
-        assert attrs["to_tier"] == "vectorized"
+        assert attrs["from_tier"] == "cached"
+        assert attrs["to_tier"] == "reference"
         assert attrs["error"] == "EncodingError"
         assert attrs["format"] == "csr-du"
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.compress.ctl import encode_ctl_reference
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
 from repro.machine.simulate import simulate_spmv
@@ -54,7 +55,7 @@ class TestCsrDuEncodeMetrics:
         assert spans[0].attrs["kind"] == "csr-du"
 
     def test_unitize_span_emitted_by_reference_encoder(self, collector, csr):
-        convert(csr, "csr-du", encoder="reference")
+        encode_ctl_reference(csr.row_ptr, csr.col_ind)
         spans = [
             ev for ev in collector.snapshot() if ev.name == "encode.csr_du.unitize"
         ]

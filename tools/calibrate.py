@@ -10,7 +10,7 @@ aggregate cells.  The winning constants are frozen into
 
 ``--advisor-out PATH`` is a separate, much cheaper mode: instead of
 fitting the paper's machine model it measures *this* host -- ns/nnz per
-(format, kernel tier), per-call overhead, per-worker dispatch costs --
+format, per-call overhead, per-worker dispatch costs --
 and writes the JSON calibration the configuration advisor
 (:mod:`repro.perf.advisor`) uses for real-clock predictions.  Point
 ``REPRO_ADVISOR_CALIBRATION`` at the file (or write it to the default

@@ -186,14 +186,14 @@ def check_fault_events() -> int:
     def failing_tier(matrix, x):
         raise EncodingError("injected tier failure")
 
-    failing_tier.tier = "batched"
+    failing_tier.tier = "cached"
 
     prev = telemetry.set_collector(telemetry.Collector())
     try:
         du = convert(csr, "csr-du")
         expected = du.spmv(x)
         guarded = GuardedKernel(
-            "csr-du", chain=(failing_tier, get_kernel("csr-du", "vectorized"))
+            "csr-du", chain=(failing_tier, get_kernel("csr-du", "reference"))
         )
         got = guarded(du, x)
         with ParallelSpMV(
@@ -225,8 +225,8 @@ def check_fault_events() -> int:
             file=sys.stderr,
         )
         return 1
-    if fallbacks[0]["attrs"]["from_tier"] != "batched" or (
-        fallbacks[0]["attrs"]["to_tier"] != "vectorized"
+    if fallbacks[0]["attrs"]["from_tier"] != "cached" or (
+        fallbacks[0]["attrs"]["to_tier"] != "reference"
     ):
         print(
             f"smoke_trace: kernel.fallback tiers wrong: {fallbacks[0]!r}",
@@ -284,7 +284,7 @@ def check_obs() -> int:
     def failing_tier(matrix, x):
         raise EncodingError("injected tier failure")
 
-    failing_tier.tier = "batched"
+    failing_tier.tier = "cached"
 
     runtime = ObsRuntime()
     prev = telemetry.set_sink(telemetry.Sink(telemetry.Collector(), runtime))
@@ -297,7 +297,7 @@ def check_obs() -> int:
         du = convert(csr, "csr-du")
         expected = du.spmv(x)
         guarded = GuardedKernel(
-            "csr-du", chain=(failing_tier, get_kernel("csr-du", "vectorized"))
+            "csr-du", chain=(failing_tier, get_kernel("csr-du", "reference"))
         )
         got = guarded(du, x)
         ResourceMonitor().sample_once()
