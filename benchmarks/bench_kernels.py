@@ -48,9 +48,3 @@ def test_spmv_reference(benchmark, matrix, x, fmt):
     kernel = get_kernel(fmt, "reference")
     y = benchmark.pedantic(lambda: kernel(m, x), rounds=1, iterations=1)
     assert np.allclose(y, m.spmv(x))
-
-
-def test_spmv_bcsr(benchmark, matrix, x):
-    bcsr = convert(matrix, "bcsr", r=2, c=2)
-    y = benchmark(lambda: bcsr.spmv(x))
-    assert np.allclose(y, matrix.spmv(x))

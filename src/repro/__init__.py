@@ -29,16 +29,12 @@ from repro.errors import (
 )
 from repro.io import load_matrix, save_matrix
 from repro.formats import (
-    BCSRMatrix,
     COOMatrix,
-    CSCMatrix,
     CSRDUMatrix,
     CSRDUVIMatrix,
     CSRMatrix,
     CSRVIMatrix,
     DCSRMatrix,
-    ELLMatrix,
-    JDSMatrix,
     SparseMatrix,
     Storage,
     available_formats,
@@ -61,14 +57,10 @@ __all__ = [
     "Storage",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "CSRDUMatrix",
     "CSRVIMatrix",
     "CSRDUVIMatrix",
     "DCSRMatrix",
-    "BCSRMatrix",
-    "ELLMatrix",
-    "JDSMatrix",
     "available_formats",
     "save_matrix",
     "load_matrix",

@@ -386,8 +386,8 @@ def run_format_matrix(
                     setup_s=setup_s,
                 )
             except MachineModelError:
-                # Formats the byte-layout census cannot split (ellpack,
-                # coo, ...) still get timed; they just go unattributed.
+                # Formats the byte-layout census cannot split (coo) still
+                # get timed; they just go unattributed.
                 pass
             else:
                 attributions[key] = att

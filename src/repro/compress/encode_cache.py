@@ -14,7 +14,7 @@ that work so it happens once:
   matrices built separately encode twice; the sweeps this cache serves
   always re-present the *same* object).
 * **sorted kwargs** -- the ``from_csr`` parameters (``policy``,
-  ``max_unit``, BCSR block shape, ...), order-insensitive.
+  ``max_unit``), order-insensitive.
 * **row range** -- ``None`` for whole-matrix conversions, ``(lo, hi)``
   for a :meth:`~repro.formats.csr.CSRMatrix.row_slice` chunk, so
   partition-aligned chunk encodes are shared across sweep cells with

@@ -4,7 +4,6 @@ The paper's cast, all implemented from scratch:
 
 * :class:`~repro.formats.coo.COOMatrix` -- interchange format;
 * :class:`~repro.formats.csr.CSRMatrix` -- the baseline (Fig. 1);
-* :class:`~repro.formats.csc.CSCMatrix` -- column-major mirror;
 * :class:`~repro.formats.csr_du.CSRDUMatrix` -- delta-unit index
   compression (Section IV, the paper's first contribution);
 * :class:`~repro.formats.csr_vi.CSRVIMatrix` -- value indexing
@@ -12,11 +11,10 @@ The paper's cast, all implemented from scratch:
 * :class:`~repro.formats.csr_du_vi.CSRDUVIMatrix` -- both combined
   (from the CF'08 companion paper);
 * :class:`~repro.formats.dcsr.DCSRMatrix` -- the Willcock & Lumsdaine
-  byte-command baseline the paper compares against;
-* :class:`~repro.formats.bcsr.BCSRMatrix` -- classic register blocking;
-* :class:`~repro.formats.ellpack.ELLMatrix` /
-  :class:`~repro.formats.jagged.JDSMatrix` -- the padded / jagged
-  vector-machine formats from the related-work list (Section III-A).
+  byte-command baseline the paper compares against.
+
+The related-work formats of Section III-A (BCSR, ELLPACK, JDS) are
+not evaluated by the paper and are not implemented.
 """
 
 from repro.formats.base import (
@@ -28,17 +26,13 @@ from repro.formats.base import (
     register_format,
     working_set_bytes,
 )
-from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.conversions import convert, to_csr
-from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.formats.csr_du_vi import CSRDUVIMatrix
 from repro.formats.csr_vi import CSRVIMatrix
 from repro.formats.dcsr import DCSRMatrix
-from repro.formats.ellpack import ELLMatrix
-from repro.formats.jagged import JDSMatrix
 
 __all__ = [
     "SparseMatrix",
@@ -50,14 +44,10 @@ __all__ = [
     "working_set_bytes",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "CSRDUMatrix",
     "CSRVIMatrix",
     "CSRDUVIMatrix",
     "DCSRMatrix",
-    "BCSRMatrix",
-    "ELLMatrix",
-    "JDSMatrix",
     "convert",
     "to_csr",
 ]

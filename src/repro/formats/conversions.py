@@ -1,8 +1,8 @@
 """Generic conversions between any two registered formats.
 
 All roads go through CSR: every format implements ``from_csr`` /
-``to_csr`` (COO uses ``from_coo``/``to_coo``), so :func:`convert` is a
-two-hop bridge.  Keeping one canonical hub format keeps the conversion
+``to_csr`` (COO goes through ``CSRMatrix.to_coo``/``from_coo``), so
+:func:`convert` is a two-hop bridge.  Keeping one canonical hub format keeps the conversion
 graph linear in the number of formats instead of quadratic.
 """
 
@@ -24,9 +24,6 @@ def to_csr(matrix: SparseMatrix) -> CSRMatrix:
     converter = getattr(matrix, "to_csr", None)
     if converter is not None:
         return converter()
-    to_coo = getattr(matrix, "to_coo", None)
-    if to_coo is not None:
-        return CSRMatrix.from_coo(to_coo())
     raise FormatError(f"{type(matrix).__name__} cannot convert to CSR")
 
 
@@ -34,7 +31,7 @@ def convert(matrix: SparseMatrix, name: str, **kwargs) -> SparseMatrix:
     """Convert *matrix* to the format registered under *name*.
 
     Extra keyword arguments are forwarded to the target's ``from_csr``
-    (e.g. ``policy=`` for CSR-DU, ``r=``/``c=`` for BCSR).
+    (e.g. ``policy=`` and ``max_unit=`` for CSR-DU).
     """
     cls = get_format(name)
     if isinstance(matrix, cls) and not kwargs:

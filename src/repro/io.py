@@ -12,17 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.bcsr import BCSRMatrix
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.formats.csr_du_vi import CSRDUVIMatrix
 from repro.formats.csr_vi import CSRVIMatrix
 from repro.formats.dcsr import DCSRMatrix
-from repro.formats.ellpack import ELLMatrix
-from repro.formats.jagged import JDSMatrix
 
 _MAGIC = "repro-sparse-v1"
 
@@ -40,10 +36,6 @@ def save_matrix(matrix: SparseMatrix, path) -> None:
     elif isinstance(matrix, CSRMatrix):
         arrays.update(
             row_ptr=matrix.row_ptr, col_ind=matrix.col_ind, values=matrix.values
-        )
-    elif isinstance(matrix, CSCMatrix):
-        arrays.update(
-            col_ptr=matrix.col_ptr, row_ind=matrix.row_ind, values=matrix.values
         )
     elif isinstance(matrix, CSRDUMatrix):
         arrays.update(
@@ -67,87 +59,57 @@ def save_matrix(matrix: SparseMatrix, path) -> None:
             stream=np.frombuffer(matrix.stream, dtype=np.uint8),
             values=matrix.values,
         )
-    elif isinstance(matrix, BCSRMatrix):
-        arrays.update(
-            brow_ptr=matrix.brow_ptr,
-            bcol_ind=matrix.bcol_ind,
-            block_values=matrix.block_values,
-            block_shape=np.array([matrix.r, matrix.c], dtype=np.int64),
-        )
-    elif isinstance(matrix, ELLMatrix):
-        arrays.update(col_slab=matrix.col_slab, value_slab=matrix.value_slab)
-    elif isinstance(matrix, JDSMatrix):
-        arrays.update(
-            perm=matrix.perm,
-            jd_ptr=matrix.jd_ptr,
-            col_ind=matrix.col_ind,
-            values=matrix.values,
-        )
     else:
         raise FormatError(f"cannot serialize {type(matrix).__name__}")
     np.savez_compressed(path, **arrays)
 
 
 def load_matrix(path) -> SparseMatrix:
-    """Load a matrix saved by :func:`save_matrix`."""
+    """Load a matrix saved by :func:`save_matrix`.
+
+    Raises :class:`~repro.errors.FormatError` for a file that is not a
+    repro matrix, names a format this version cannot load, or lacks an
+    array its format needs.
+    """
     with np.load(path) as data:
         if "__magic__" not in data or str(data["__magic__"]) != _MAGIC:
             raise FormatError(f"{path} is not a repro sparse-matrix file")
-        name = str(data["__format__"])
-        nrows, ncols = (int(v) for v in data["__shape__"])
-        if name == "coo":
-            return COOMatrix(nrows, ncols, data["rows"], data["cols"], data["values"])
-        if name == "csr":
-            return CSRMatrix(
-                nrows, ncols, data["row_ptr"], data["col_ind"], data["values"],
-                col_index_dtype=data["col_ind"].dtype,
-                index_dtype=data["row_ptr"].dtype,
-            )
-        if name == "csc":
-            return CSCMatrix(
-                nrows, ncols, data["col_ptr"], data["row_ind"], data["values"]
-            )
-        if name == "csr-du":
-            return CSRDUMatrix(nrows, ncols, data["ctl"].tobytes(), data["values"])
-        if name == "csr-vi":
-            return CSRVIMatrix(
-                nrows,
-                ncols,
-                data["row_ptr"],
-                data["col_ind"],
-                data["vals_unique"],
-                data["val_ind"],
-            )
-        if name == "csr-du-vi":
-            return CSRDUVIMatrix(
-                nrows,
-                ncols,
-                data["ctl"].tobytes(),
-                data["vals_unique"],
-                data["val_ind"],
-            )
-        if name == "dcsr":
-            return DCSRMatrix(nrows, ncols, data["stream"].tobytes(), data["values"])
-        if name == "bcsr":
-            r, c = (int(v) for v in data["block_shape"])
-            return BCSRMatrix(
-                nrows,
-                ncols,
-                r,
-                c,
-                data["brow_ptr"],
-                data["bcol_ind"],
-                data["block_values"],
-            )
-        if name == "ell":
-            return ELLMatrix(nrows, ncols, data["col_slab"], data["value_slab"])
-        if name == "jds":
-            return JDSMatrix(
-                nrows,
-                ncols,
-                data["perm"],
-                data["jd_ptr"],
-                data["col_ind"],
-                data["values"],
-            )
-        raise FormatError(f"unknown serialized format {name!r}")
+        try:
+            return _build(data)
+        except KeyError as exc:
+            raise FormatError(f"{path} is missing stored array {exc}") from None
+
+
+def _build(data) -> SparseMatrix:
+    name = str(data["__format__"])
+    nrows, ncols = (int(v) for v in data["__shape__"])
+    if name == "coo":
+        return COOMatrix(nrows, ncols, data["rows"], data["cols"], data["values"])
+    if name == "csr":
+        return CSRMatrix(
+            nrows, ncols, data["row_ptr"], data["col_ind"], data["values"],
+            col_index_dtype=data["col_ind"].dtype,
+            index_dtype=data["row_ptr"].dtype,
+        )
+    if name == "csr-du":
+        return CSRDUMatrix(nrows, ncols, data["ctl"].tobytes(), data["values"])
+    if name == "csr-vi":
+        return CSRVIMatrix(
+            nrows,
+            ncols,
+            data["row_ptr"],
+            data["col_ind"],
+            data["vals_unique"],
+            data["val_ind"],
+        )
+    if name == "csr-du-vi":
+        return CSRDUVIMatrix(
+            nrows,
+            ncols,
+            data["ctl"].tobytes(),
+            data["vals_unique"],
+            data["val_ind"],
+        )
+    if name == "dcsr":
+        return DCSRMatrix(nrows, ncols, data["stream"].tobytes(), data["values"])
+    raise FormatError(f"unknown serialized format {name!r}")

@@ -48,18 +48,7 @@ _KERNELS: dict[tuple[str, str], Callable] = {
 }
 
 # Every registered format supports the "cached" tier through its spmv().
-for _name in (
-    "coo",
-    "csr",
-    "csc",
-    "csr-du",
-    "csr-vi",
-    "csr-du-vi",
-    "dcsr",
-    "bcsr",
-    "ell",
-    "jds",
-):
+for _name in ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr"):
     _KERNELS[(_name, "cached")] = _cached
 
 

@@ -15,11 +15,10 @@ from repro.machine.topology import (
     smp_machine,
     woodcrest_4core,
 )
-from repro.machine.cache import LRUCache, simulate_trace
+from repro.machine.cache import LRUCache
 from repro.machine.costmodel import CostModel, KernelCost, default_cost_model
 from repro.machine.traffic import ThreadWork, analyze_threads
 from repro.machine.engine import SimResult, solve_makespan
-from repro.machine.roofline import RooflinePoint, format_roofline, roofline_point, roofline_table
 from repro.machine.simulate import simulate_spmv
 from repro.machine.tracesim import TraceResult, format_trace, run_trace
 
@@ -31,7 +30,6 @@ __all__ = [
     "smp_machine",
     "place_threads",
     "LRUCache",
-    "simulate_trace",
     "CostModel",
     "KernelCost",
     "default_cost_model",
@@ -40,10 +38,6 @@ __all__ = [
     "SimResult",
     "solve_makespan",
     "simulate_spmv",
-    "RooflinePoint",
-    "roofline_point",
-    "roofline_table",
-    "format_roofline",
     "TraceResult",
     "format_trace",
     "run_trace",

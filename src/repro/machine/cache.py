@@ -1,9 +1,9 @@
 """Trace-driven set-associative LRU cache simulator.
 
 The analytic residency model in :mod:`repro.machine.traffic` is what
-the big experiments use; this simulator exists to (a) validate that
-model on small matrices (tests cross-check the two), and (b) support
-the cache-behaviour unit tests with a ground-truth LRU implementation.
+the big experiments use; this simulator is the ground-truth LRU that
+:mod:`repro.machine.tracesim` replays per-format SpMV address traces
+through to validate that model on small matrices.
 
 Addresses are byte addresses; the cache maps them to lines of
 ``line_bytes`` and maintains true LRU order per set.
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import MachineModelError
 
@@ -105,61 +103,3 @@ class LRUCache:
             s.clear()
         self.stats = CacheStats()
 
-
-def simulate_trace(
-    cache: LRUCache, addresses: np.ndarray, *, repeats: int = 1
-) -> CacheStats:
-    """Run an address trace through *cache*, optionally repeated.
-
-    Returns the stats of the *last* repetition (the steady-state
-    iteration, matching the paper's 128-iteration measurement where
-    compulsory misses amortize away).
-    """
-    if repeats < 1:
-        raise MachineModelError("repeats must be >= 1")
-    addresses = np.asarray(addresses, dtype=np.int64)
-    last = CacheStats()
-    for _ in range(repeats):
-        before_acc, before_hit = cache.stats.accesses, cache.stats.hits
-        for addr in addresses.tolist():
-            cache.access(int(addr))
-        last = CacheStats(
-            accesses=cache.stats.accesses - before_acc,
-            hits=cache.stats.hits - before_hit,
-        )
-    return last
-
-
-def spmv_address_trace(
-    row_ptr: np.ndarray,
-    col_ind: np.ndarray,
-    *,
-    index_size: int = 4,
-    value_size: int = 8,
-) -> np.ndarray:
-    """Byte-address trace of one CSR SpMV iteration.
-
-    Lays the arrays out consecutively (row_ptr, col_ind, values, x, y)
-    and emits the kernel's access sequence: per row, the row_ptr read,
-    then per nonzero the col_ind, values and x reads, then the y write.
-    Used by the model-validation tests on small matrices.
-    """
-    row_ptr = np.asarray(row_ptr, dtype=np.int64)
-    col_ind = np.asarray(col_ind, dtype=np.int64)
-    nrows = row_ptr.size - 1
-    nnz = col_ind.size
-    base_rp = 0
-    base_ci = base_rp + (nrows + 1) * index_size
-    base_va = base_ci + nnz * index_size
-    base_x = base_va + nnz * value_size
-    ncols = int(col_ind.max()) + 1 if nnz else 0
-    base_y = base_x + ncols * value_size
-    trace: list[int] = []
-    for i in range(nrows):
-        trace.append(base_rp + (i + 1) * index_size)
-        for j in range(int(row_ptr[i]), int(row_ptr[i + 1])):
-            trace.append(base_ci + j * index_size)
-            trace.append(base_va + j * value_size)
-            trace.append(base_x + int(col_ind[j]) * value_size)
-        trace.append(base_y + i * value_size)
-    return np.asarray(trace, dtype=np.int64)

@@ -17,9 +17,7 @@ The qualitative relationships the constants encode:
 * CSR-VI adds one indirection per element (the ``val_ind`` gather);
 * DCSR pays a dispatch *per command*, and a fraction of those branches
   mispredict (the Section III-B critique); RUN8 bodies behave like a
-  small unit;
-* BCSR processes stored elements (including fill) cheaper per element
-  (no per-element column index) but does the fill's useless flops.
+  small unit.
 """
 
 from __future__ import annotations
@@ -61,8 +59,6 @@ class CostModel:
     vi_extra_per_element: float = 3.9
     dcsr_per_command: float = 4.0
     dcsr_per_element: float = 1.2
-    bcsr_per_stored_element: float = 3.2
-    bcsr_per_block: float = 8.0
     branch_miss_penalty: float = 14.0
     du_mispredict_rate: float = 0.05
     dcsr_mispredict_rate: float = 0.35
@@ -76,8 +72,6 @@ class CostModel:
             "du_per_unit",
             "dcsr_per_command",
             "dcsr_per_element",
-            "bcsr_per_stored_element",
-            "bcsr_per_block",
             "branch_miss_penalty",
         ):
             if getattr(self, field_name) < 0:
@@ -142,13 +136,6 @@ class CostModel:
             element_cycles=(self.per_element + self.dcsr_per_element) * nnz,
             row_cycles=self.per_row * rows,
             dispatch_cycles=dispatch,
-        )
-
-    def bcsr(self, stored_elements: int, blocks: int, block_rows: int) -> KernelCost:
-        return KernelCost(
-            element_cycles=self.bcsr_per_stored_element * stored_elements,
-            row_cycles=self.per_row * block_rows,
-            dispatch_cycles=self.bcsr_per_block * blocks,
         )
 
 

@@ -106,8 +106,6 @@ def _thread_cycles(work: ThreadWork, cost: CostModel) -> float:
         ).total
     if fmt == "dcsr":
         return cost.dcsr(work.nnz, work.rows_nonempty, work.commands).total
-    if fmt == "bcsr":
-        return cost.bcsr(work.stored_elements, work.blocks, work.block_rows).total
     raise MachineModelError(f"no cost model for format {fmt!r}")
 
 

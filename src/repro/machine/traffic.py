@@ -5,7 +5,7 @@ it with the paper's nnz-balanced row partitioning, and returns one
 :class:`ThreadWork` per thread with
 
 * the operation census the cost model charges cycles for (elements,
-  non-empty rows, units, commands, blocks), and
+  non-empty rows, units, commands), and
 * the exact per-iteration byte counts of every array the kernel
   streams, taken from the format's real storage (ctl byte ranges from
   ``ctl_offsets``, ``val_ind`` item sizes, ...), plus the thread's
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MachineModelError
-from repro.formats.bcsr import BCSRMatrix
 from repro.formats.base import SparseMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
@@ -57,9 +56,6 @@ class ThreadWork:
     seq_units: int = 0
     seq_elements: int = 0
     commands: int = 0
-    stored_elements: int = 0
-    blocks: int = 0
-    block_rows: int = 0
 
     @property
     def private_total(self) -> int:
@@ -113,9 +109,6 @@ def _row_ptr_of(matrix: SparseMatrix) -> np.ndarray:
         return out
     if isinstance(matrix, DCSRMatrix):
         return matrix.decoded.row_ptr.astype(np.int64)
-    if isinstance(matrix, BCSRMatrix):
-        # Partition at block-row granularity, expressed in rows below.
-        raise MachineModelError("BCSR uses its own partitioning path")
     raise MachineModelError(
         f"traffic analysis does not support {type(matrix).__name__}"
     )
@@ -127,8 +120,6 @@ def analyze_threads(
     """Partition *matrix* across *nthreads* and account each thread's work."""
     if nthreads < 1:
         raise MachineModelError(f"nthreads must be >= 1, got {nthreads}")
-    if isinstance(matrix, BCSRMatrix):
-        return _analyze_bcsr(matrix, nthreads)
     row_ptr = _row_ptr_of(matrix)
     part = row_partition(row_ptr, nthreads)
     works = []
@@ -289,42 +280,3 @@ def _count_dcsr_commands(stream: bytes) -> int:
         else:
             raise MachineModelError(f"unknown DCSR command {cmd}")
     return commands
-
-
-def _analyze_bcsr(
-    matrix: BCSRMatrix, nthreads: int
-) -> tuple[RowPartition, list[ThreadWork]]:
-    """BCSR path: partition at block-row granularity by stored elements."""
-    brow_ptr = matrix.brow_ptr.astype(np.int64)
-    part = row_partition(brow_ptr, nthreads)
-    works = []
-    r, c = matrix.r, matrix.c
-    for t in range(nthreads):
-        lo, hi = part.rows_of(t)
-        b_lo, b_hi = int(brow_ptr[lo]), int(brow_ptr[hi])
-        blocks = b_hi - b_lo
-        stored = blocks * r * c
-        bcols = matrix.bcol_ind[b_lo:b_hi]
-        x_bytes = (
-            int(np.unique(bcols).size) * c * VALUE_SIZE if bcols.size else 0
-        )
-        works.append(
-            ThreadWork(
-                thread=t,
-                format_name="bcsr",
-                nnz=stored,  # flops done, incl. fill
-                rows_assigned=(hi - lo) * r,
-                rows_nonempty=_nonempty_rows(brow_ptr, lo, hi) * r,
-                private_bytes={
-                    "brow_ptr": (hi - lo + 1) * matrix.brow_ptr.dtype.itemsize,
-                    "bcol_ind": blocks * matrix.bcol_ind.dtype.itemsize,
-                    "block_values": stored * VALUE_SIZE,
-                    "y": (hi - lo) * r * VALUE_SIZE,
-                },
-                shared_bytes={"x": x_bytes},
-                stored_elements=stored,
-                blocks=blocks,
-                block_rows=hi - lo,
-            )
-        )
-    return part, works

@@ -15,8 +15,8 @@ per structural family that collection spans:
 * :func:`powerlaw_graph` -- web/social graph adjacency with a skewed
   degree distribution: extreme row-length variance, tests load
   balancing;
-* :func:`block_structured` -- small dense blocks (multi-dof FEM);
-  BCSR's natural prey;
+* :func:`block_structured` -- small dense blocks (multi-dof FEM):
+  short runs of consecutive columns inside each row;
 * :func:`dense_band` -- a fully dense band (narrow finite-difference
   operators): one contiguous run per row, the sequential-unit case;
 * :func:`diagonal_bands` -- a few off-diagonals (CDS-like structure);
@@ -170,7 +170,7 @@ def block_structured(
     nblocks: int, block: int, blocks_per_row: int, seed: int
 ) -> COOMatrix:
     """Dense ``block x block`` tiles on a random block-sparsity pattern
-    (multi-dof FEM structure; BCSR's ideal input)."""
+    (multi-dof FEM structure)."""
     if nblocks < 1 or block < 1 or blocks_per_row < 1:
         raise CatalogError("block_structured parameters must be positive")
     rng = np.random.default_rng(seed)

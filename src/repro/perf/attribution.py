@@ -5,8 +5,9 @@ combining
 
 * the exact byte stream (:mod:`repro.perf.bytes`) -> FLOP:byte ratio
   and effective GB/s at the cell's measured/predicted time;
-* the machine model's roofline (:mod:`repro.machine.roofline` math) ->
-  attainable MFLOPS and %-of-roofline, with the binding constraint;
+* the machine model's roofline (:func:`machine_peak_flops` over the
+  domain bandwidth) -> attainable MFLOPS and %-of-roofline, with the
+  binding constraint;
 * partitioner balance -> static nnz max/mean plus the model's
   per-thread compute-time max/mean;
 * compression accounting -> size ratio vs CSR and speedup vs CSR at
@@ -29,7 +30,6 @@ from typing import Sequence
 from repro.formats.base import SparseMatrix, Storage
 from repro.machine.costmodel import CostModel
 from repro.machine.engine import SimResult
-from repro.machine.roofline import machine_peak_flops
 from repro.machine.topology import MachineSpec
 from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
 from repro.telemetry import core as telemetry
@@ -87,6 +87,14 @@ class Attribution:
         if csr_time_s <= 0 or self.time_s <= 0:
             return self
         return dataclasses.replace(self, speedup_vs_csr=csr_time_s / self.time_s)
+
+
+def machine_peak_flops(
+    machine: MachineSpec, threads: int, cost: CostModel
+) -> float:
+    """Peak useful flop rate: the cost model's 2 flops per
+    ``per_element`` cycles, across *threads* cores."""
+    return threads * machine.clock_hz * 2.0 / cost.per_element
 
 
 def _plan_counters(format_name: str) -> tuple[int, int]:

@@ -8,9 +8,9 @@ reads the *actual* arrays: ``ctl_offsets`` byte ranges for CSR-DU,
 streams, split the way the paper splits storage --
 
 * **index bytes** -- structure (``row_ptr``/``col_ind``, the ctl
-  stream, DCSR command stream, BCSR block indices);
+  stream, DCSR command stream);
 * **value bytes** -- numerics (``values``, ``vals_unique`` +
-  ``val_ind``, block values);
+  ``val_ind``);
 * **vector bytes** -- the dense ``x`` gather footprint (cache-line
   granular, unioned across threads) plus the ``y`` writes.
 
@@ -28,12 +28,10 @@ from repro.formats.base import SparseMatrix
 from repro.machine.traffic import LINE_SIZE, VALUE_SIZE, analyze_threads
 
 #: Array names charged as index (structure) bytes.
-INDEX_ARRAYS = frozenset(
-    {"row_ptr", "col_ind", "ctl", "stream", "brow_ptr", "bcol_ind"}
-)
+INDEX_ARRAYS = frozenset({"row_ptr", "col_ind", "ctl", "stream"})
 
 #: Array names charged as value (numeric) bytes.
-VALUE_ARRAYS = frozenset({"values", "val_ind", "vals_unique", "block_values"})
+VALUE_ARRAYS = frozenset({"values", "val_ind", "vals_unique"})
 
 #: Array names charged as dense-vector bytes.
 VECTOR_ARRAYS = frozenset({"x", "y"})

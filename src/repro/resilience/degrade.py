@@ -102,6 +102,13 @@ class SerialSpMV:
     cache key a 1-thread executor's chunk uses — and every multiply
     runs through the :class:`~repro.robust.guard.GuardedKernel` tier
     chain, so even this rung degrades gracefully *within* itself.
+
+    It is not ``ParallelSpMV(nthreads=1)``: that executor runs every
+    chunk through the ``thread.chunk`` chaos site and answers a failure
+    by rebuilding the chunk, never by falling to the reference tier.
+    A fault that poisons that site for every chunk would therefore take
+    the bottom rung down with the thread rung above it (see
+    ``test_degrades_to_serial_bit_identical``).
     """
 
     backend = "serial"

@@ -397,25 +397,6 @@ def _verify_coo(matrix, policy: str) -> None:
     check_values(matrix.values, "values", policy)
 
 
-def _verify_csc(matrix, policy: str) -> None:
-    col_ptr = matrix.col_ptr
-    if col_ptr.size != matrix.ncols + 1:
-        raise IntegrityError(
-            f"col_ptr has {col_ptr.size} entries, expected {matrix.ncols + 1}",
-            field="col_ptr",
-        )
-    if int(col_ptr[0]) != 0 or int(col_ptr[-1]) != matrix.nnz:
-        raise IntegrityError("col_ptr must run from 0 to nnz", field="col_ptr")
-    if col_ptr.size > 1 and int(np.diff(col_ptr).min()) < 0:
-        raise IntegrityError("col_ptr decreases", field="col_ptr")
-    row_ind = matrix.row_ind
-    if row_ind.size and (
-        int(row_ind.min()) < 0 or int(row_ind.max()) >= matrix.nrows
-    ):
-        raise IntegrityError("row_ind out of range", field="row_ind")
-    check_values(matrix.values, "values", policy)
-
-
 def _verify_generic(matrix, policy: str) -> None:
     """Fallback for formats without a dedicated checker.
 
@@ -439,10 +420,7 @@ def _verify_generic(matrix, policy: str) -> None:
                 row=i,
             )
         count += 1
-    # Padding formats (BCSR blocks, ELL slabs) legitimately declare a
-    # stored nnz above the decoded entry count, so only the impossible
-    # direction is an error.
-    if count > matrix.nnz:
+    if count != matrix.nnz:
         raise IntegrityError(
             f"format decodes {count} entries but declares nnz={matrix.nnz}"
         )
@@ -454,7 +432,6 @@ _VERIFIERS = {
     "csr-du": _verify_csr_du,
     "csr-du-vi": _verify_csr_du_vi,
     "coo": _verify_coo,
-    "csc": _verify_csc,
 }
 
 

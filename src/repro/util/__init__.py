@@ -2,9 +2,7 @@
 
 from repro.util.bitops import (
     decode_varint,
-    decode_varint_array,
     encode_varint,
-    encode_varint_array,
     varint_size,
     width_class,
     width_class_array,
@@ -20,9 +18,7 @@ from repro.util.validation import (
 
 __all__ = [
     "decode_varint",
-    "decode_varint_array",
     "encode_varint",
-    "encode_varint_array",
     "varint_size",
     "width_class",
     "width_class_array",

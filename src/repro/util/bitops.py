@@ -157,81 +157,6 @@ def scatter_varints(
         buf[positions[live] + k] = (chunk | cont).astype(np.uint8)
 
 
-def encode_varint_array_reference(values: np.ndarray) -> bytes:
-    """Per-element reference encoder (the original scalar loop)."""
-    out = bytearray()
-    for v in np.asarray(values).ravel().tolist():
-        encode_varint(int(v), out)
-    return bytes(out)
-
-
-def encode_varint_array(values: np.ndarray) -> bytes:
-    """Encode a whole array of non-negative integers as concatenated varints.
-
-    Integer arrays take the vectorized path (size array, prefix-sum
-    layout, byte-position scatter); anything else falls back to the
-    scalar reference loop.  Output is byte-identical either way.
-    """
-    arr = np.asarray(values).ravel()
-    if arr.size == 0:
-        return b""
-    if arr.dtype.kind not in "iu":
-        return encode_varint_array_reference(arr)
-    sizes = varint_size_array(arr)
-    offsets = np.zeros(arr.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    buf = np.zeros(int(offsets[-1]) + int(sizes[-1]), dtype=np.uint8)
-    scatter_varints(buf, arr, offsets, sizes)
-    return buf.tobytes()
-
-
-def decode_varint_array_reference(
-    buf, count: int, pos: int = 0
-) -> tuple[np.ndarray, int]:
-    """Per-element reference decoder (the original scalar loop)."""
-    out = np.empty(count, dtype=np.uint64)
-    for i in range(count):
-        value, pos = decode_varint(buf, pos)
-        out[i] = value
-    return out, pos
-
-
-def decode_varint_array(buf, count: int, pos: int = 0) -> tuple[np.ndarray, int]:
-    """Decode *count* varints from *buf*; return ``(uint64 array, next_pos)``.
-
-    Vectorized: terminator bytes (high bit clear) mark varint ends, so
-    one ``flatnonzero`` finds every boundary and one pass per byte
-    position of the longest varint assembles the values.  Values match
-    :func:`decode_varint_array_reference` exactly; truncated streams
-    and values that overflow 64 bits raise :class:`EncodingError`.
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.uint64), pos
-    data = np.frombuffer(buf, dtype=np.uint8) if isinstance(
-        buf, (bytes, bytearray)
-    ) else np.asarray(buf, dtype=np.uint8)
-    terminators = np.flatnonzero((data[pos:] & 0x80) == 0)
-    if terminators.size < count:
-        raise EncodingError("truncated varint")
-    ends = terminators[:count] + pos
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = pos
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    max_len = int(lens.max())
-    if max_len > 10 or (
-        max_len == 10 and int((data[starts[lens == 10] + 9] & 0x7F).max()) > 1
-    ):
-        raise EncodingError("varint exceeds 64 bits")
-    out = np.zeros(count, dtype=np.uint64)
-    for k in range(max_len):
-        live = lens > k
-        out[live] |= (
-            data[starts[live] + k].astype(np.uint64) & np.uint64(0x7F)
-        ) << np.uint64(7 * k)
-    return out, int(ends[-1]) + 1
-
-
 def pack_fixed(values: np.ndarray, cls: int) -> bytes:
     """Pack *values* at the fixed width of class *cls* (little endian)."""
     values = np.asarray(values)

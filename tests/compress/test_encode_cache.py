@@ -51,7 +51,7 @@ class TestCacheKey:
         assert whole != chunk
 
     def test_unhashable_kwargs_frozen(self, csr):
-        key = cache_key(csr, "bcsr", {"block": [2, 2]}, None)
+        key = cache_key(csr, "some-format", {"block": [2, 2]}, None)
         hash(key)  # must not raise
 
 

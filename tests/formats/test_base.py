@@ -12,7 +12,6 @@ from repro.formats import (
 from repro.formats.base import (
     Storage,
     csr_working_set_bytes,
-    format_converter,
     register_format,
     working_set_bytes,
 )
@@ -49,18 +48,14 @@ class TestWorkingSet:
 
 class TestRegistry:
     def test_known_formats(self):
-        names = available_formats()
-        for expected in (
+        assert available_formats() == (
             "coo",
             "csr",
-            "csc",
             "csr-du",
-            "csr-vi",
             "csr-du-vi",
+            "csr-vi",
             "dcsr",
-            "bcsr",
-        ):
-            assert expected in names
+        )
 
     def test_get_format(self):
         assert get_format("csr") is CSRMatrix
@@ -82,10 +77,6 @@ class TestRegistry:
 
         with pytest.raises(FormatError):
             register_format(Nameless)
-
-    def test_format_converter(self):
-        conv = format_converter("csr-du")
-        assert callable(conv)
 
 
 class TestSparseMatrixBasics:

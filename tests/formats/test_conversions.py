@@ -8,18 +8,7 @@ from repro.formats import CSRMatrix, available_formats, convert, to_csr
 
 from tests.conftest import random_sparse_dense
 
-ALL_FORMATS = (
-    "coo",
-    "csr",
-    "csc",
-    "csr-du",
-    "csr-vi",
-    "csr-du-vi",
-    "dcsr",
-    "bcsr",
-    "ell",
-    "jds",
-)
+ALL_FORMATS = ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr")
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +47,6 @@ class TestConvert:
     def test_kwargs_forwarded(self, csr):
         du = convert(csr, "csr-du", policy="aligned")
         assert du.policy == "aligned"
-        bcsr = convert(csr, "bcsr", r=3, c=3)
-        assert (bcsr.r, bcsr.c) == (3, 3)
 
     def test_kwargs_force_reconversion(self, csr):
         du = convert(csr, "csr-du")

@@ -64,11 +64,11 @@ class TestRegistry:
         assert ("csr-du", "reference") in available_kernels()
 
     def test_cached_tier_for_all_formats(self, paper_matrix, paper_dense):
-        from repro.formats import convert
+        from repro.formats import available_formats, convert
         from repro.kernels.registry import get_kernel
 
         x = np.arange(6.0)
-        for name in ("coo", "csr", "csc", "csr-du", "csr-vi", "csr-du-vi", "dcsr", "bcsr"):
+        for name in available_formats():
             k = get_kernel(name, "cached")
             assert np.allclose(
                 k(convert(paper_matrix, name), x), paper_dense @ x

@@ -51,9 +51,6 @@ class TestRelationships:
     def test_scaling_linear_in_elements(self, cost):
         assert cost.csr(2000, 10).element_cycles == 2 * cost.csr(1000, 10).element_cycles
 
-    def test_bcsr_fill_not_free(self, cost):
-        assert cost.bcsr(4000, 1000, 100).total > cost.bcsr(2000, 500, 100).total
-
     def test_zero_work_zero_cost(self, cost):
         assert cost.csr(0, 0).total == 0.0
 

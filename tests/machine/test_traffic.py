@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import MachineModelError
 from repro.formats import (
-    BCSRMatrix,
     CSRDUMatrix,
     CSRDUVIMatrix,
     CSRMatrix,
@@ -100,14 +99,6 @@ class TestDCSRAccounting:
         assert abs(total_cmds - dcsr.command_count) <= 4
         stream_total = sum(w.private_bytes["stream"] for w in works)
         assert abs(stream_total - len(dcsr.stream)) <= 8
-
-
-class TestBCSRAccounting:
-    def test_blocks_partition(self, csr):
-        bcsr = BCSRMatrix.from_csr(csr, r=2, c=2)
-        _, works = analyze_threads(bcsr, 2)
-        assert sum(w.blocks for w in works) == bcsr.block_values.shape[0]
-        assert sum(w.stored_elements for w in works) == bcsr.nnz
 
 
 class TestValidation:

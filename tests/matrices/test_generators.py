@@ -115,11 +115,11 @@ class TestPowerlaw:
 
 class TestBlockStructured:
     def test_blocks_are_dense(self):
-        m = to_csr(block_structured(10, block=3, blocks_per_row=2, seed=6))
-        from repro.formats import BCSRMatrix
-
-        bcsr = BCSRMatrix.from_csr(m, r=3, c=3)
-        assert bcsr.fill_ratio == 1.0
+        dense = block_structured(10, block=3, blocks_per_row=2, seed=6).to_dense()
+        # One row per 3x3 tile: each tile is all-nonzero or all-zero.
+        tiles = (dense != 0).reshape(10, 3, 10, 3).swapaxes(1, 2).reshape(100, 9)
+        assert np.all(tiles.all(axis=1) | ~tiles.any(axis=1))
+        assert tiles.all(axis=1).any()
 
     def test_shape(self):
         assert block_structured(4, 2, 1, seed=7).shape == (8, 8)

@@ -149,9 +149,9 @@ class TestPaperMatrixCSRDU:
 
 class TestErrors:
     def test_unsupported_format_raises(self, paper_matrix):
-        ell = convert(paper_matrix, "ell")
+        coo = convert(paper_matrix, "coo")
         with pytest.raises(MachineModelError):
-            bytes_per_iteration(ell, 1)
+            bytes_per_iteration(coo, 1)
 
     def test_bad_thread_count(self, paper_matrix):
         with pytest.raises(MachineModelError):

@@ -20,18 +20,7 @@ from repro.robust.validate import (
 
 from tests.conftest import random_sparse_dense
 
-ALL_FORMATS = (
-    "csr",
-    "csr-vi",
-    "csr-du",
-    "csr-du-vi",
-    "coo",
-    "csc",
-    "dcsr",
-    "ell",
-    "jds",
-    "bcsr",
-)
+ALL_FORMATS = ("csr", "csr-vi", "csr-du", "csr-du-vi", "coo", "dcsr")
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ class TestConvergence:
         assert np.allclose(res.x, x_true, atol=1e-6)
         assert res.spmv_calls >= res.iterations
 
-    @pytest.mark.parametrize("fmt", ["csr-du", "csr-vi", "csr-du-vi", "dcsr", "bcsr"])
+    @pytest.mark.parametrize("fmt", ["csr-du", "csr-vi", "csr-du-vi", "dcsr"])
     def test_compressed_formats_drop_in(self, fmt):
         """The paper's deployment story: encode once, iterate."""
         A, b, x_true = poisson_system()

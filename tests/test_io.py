@@ -9,18 +9,7 @@ from repro.io import load_matrix, save_matrix
 
 from tests.conftest import random_sparse_dense
 
-ALL_FORMATS = (
-    "coo",
-    "csr",
-    "csc",
-    "csr-du",
-    "csr-vi",
-    "csr-du-vi",
-    "dcsr",
-    "bcsr",
-    "ell",
-    "jds",
-)
+ALL_FORMATS = ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr")
 
 
 @pytest.fixture(scope="module")
@@ -80,4 +69,27 @@ class TestValidation:
         path = tmp_path / "other.npz"
         np.savez(path, a=np.ones(3))
         with pytest.raises(FormatError, match="not a repro"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("missing", ["col_ind", "__shape__"])
+    def test_missing_array(self, csr, tmp_path, missing):
+        path = tmp_path / "m.npz"
+        save_matrix(csr, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != missing}
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError, match=missing):
+            load_matrix(path)
+
+    def test_unknown_format(self, tmp_path):
+        """A file naming a format this version does not have (e.g. one
+        saved as BCSR by an older release) is rejected, not guessed at."""
+        path = tmp_path / "old.npz"
+        np.savez(
+            path,
+            __magic__=np.array("repro-sparse-v1"),
+            __format__=np.array("bcsr"),
+            __shape__=np.array([2, 2], dtype=np.int64),
+        )
+        with pytest.raises(FormatError, match="unknown serialized format"):
             load_matrix(path)

@@ -9,11 +9,7 @@ from repro.errors import EncodingError
 from repro.util.bitops import (
     WIDTH_BYTES,
     decode_varint,
-    decode_varint_array,
-    decode_varint_array_reference,
     encode_varint,
-    encode_varint_array,
-    encode_varint_array_reference,
     pack_fixed,
     scatter_varints,
     unpack_fixed,
@@ -127,41 +123,14 @@ class TestVarint:
         assert got == value
         assert pos == varint_size(value)
 
-    @given(st.lists(st.integers(min_value=0, max_value=1 << 40), max_size=50))
-    def test_array_round_trip_property(self, values):
-        data = encode_varint_array(np.asarray(values, dtype=np.uint64))
-        out, pos = decode_varint_array(data, len(values))
-        assert out.tolist() == values
-        assert pos == len(data)
-
 
 class TestVarintArrayVectorized:
-    """The vectorized array paths against their scalar references."""
+    """The batched encoder's varint size and scatter helpers vs the scalar path."""
 
     @given(st.lists(varint_values, max_size=60))
     def test_size_array_matches_scalar(self, values):
         sizes = varint_size_array(np.asarray(values, dtype=np.uint64))
         assert sizes.tolist() == [varint_size(v) for v in values]
-
-    @given(st.lists(varint_values, max_size=60))
-    def test_encode_matches_reference(self, values):
-        arr = np.asarray(values, dtype=np.uint64)
-        assert encode_varint_array(arr) == encode_varint_array_reference(arr)
-
-    @given(st.lists(varint_values, max_size=60))
-    def test_decode_matches_reference(self, values):
-        arr = np.asarray(values, dtype=np.uint64)
-        data = encode_varint_array(arr)
-        fast, fast_pos = decode_varint_array(data, arr.size)
-        slow, slow_pos = decode_varint_array_reference(data, arr.size)
-        assert fast.tolist() == slow.tolist()
-        assert fast_pos == slow_pos == len(data)
-
-    def test_decode_from_offset(self):
-        data = b"\xff\xff" + encode_varint_array(np.asarray([300, 7]))
-        out, pos = decode_varint_array(data, 2, pos=2)
-        assert out.tolist() == [300, 7]
-        assert pos == len(data)
 
     def test_scatter_matches_concatenated_scalars(self):
         values = np.asarray([0, 127, 128, 16384, 1 << 40], dtype=np.uint64)
@@ -188,19 +157,11 @@ class TestVarintArrayVectorized:
             varint_size_array(np.asarray([1, -2], dtype=np.int64))
 
     def test_empty_arrays(self):
-        assert varint_size_array(np.empty(0, dtype=np.uint64)).size == 0
-        assert encode_varint_array(np.empty(0, dtype=np.uint64)) == b""
-        out, pos = decode_varint_array(b"", 0)
-        assert out.size == 0 and pos == 0
-
-    def test_decode_truncated_rejected(self):
-        data = encode_varint_array(np.asarray([1 << 20], dtype=np.uint64))
-        with pytest.raises(EncodingError):
-            decode_varint_array(data[:-1], 1)
-
-    def test_decode_overlong_rejected(self):
-        with pytest.raises(EncodingError):
-            decode_varint_array(b"\x80" * 10 + b"\x01", 1)
+        empty = np.empty(0, dtype=np.uint64)
+        assert varint_size_array(empty).size == 0
+        buf = np.zeros(0, dtype=np.uint8)
+        scatter_varints(buf, empty, np.empty(0, dtype=np.int64), empty)
+        assert buf.size == 0
 
 
 class TestPackFixed:
