@@ -99,10 +99,14 @@ def test_measured_regret_within_bound(band):
 
     conv = convert(band, best.format_name)
     conv.spmv(x)  # warm
-    picked_s = measure(lambda: conv.spmv(x), calls=3, repeats=3).per_call
     band.spmv(x)  # warm
-    csr_s = measure(lambda: band.spmv(x), calls=3, repeats=3).per_call
-    assert picked_s <= REGRET_BOUND * csr_s
+    # Interleave the two timings so a slow spell on a shared host
+    # lands on both sides instead of on whichever ran during it.
+    picked, csr = [], []
+    for _ in range(9):
+        picked.append(measure(lambda: conv.spmv(x), calls=3, repeats=1).per_call)
+        csr.append(measure(lambda: band.spmv(x), calls=3, repeats=1).per_call)
+    assert min(picked) <= REGRET_BOUND * min(csr)
 
 
 def test_format_auto_bit_identical_via_executor(band):
