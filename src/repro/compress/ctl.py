@@ -220,8 +220,10 @@ class CtlReader:
 class DecodedUnits:
     """Structure-of-arrays view of a whole ctl stream.
 
-    Produced once by :func:`decode_units` and consumed by the vectorized
-    CSR-DU kernels and by the machine model's traffic accounting.
+    Produced by the matrix's kernel plan (:func:`repro.kernels.plan.
+    plan_units`, behind ``CSRDUMatrix.units``) and consumed by the
+    machine model's traffic accounting; :func:`decode_units` builds the
+    same bundle unit by unit, as the tests' oracle.
 
     Attributes
     ----------
@@ -261,11 +263,18 @@ class DecodedUnits:
     def nunits(self) -> int:
         return self.rows.size
 
+    def row_ptr(self, nrows: int) -> np.ndarray:
+        """CSR row offsets (``nrows + 1`` entries); rows without units are empty."""
+        return self.offsets[np.searchsorted(self.rows, np.arange(nrows + 1))]
+
 
 def decode_units(ctl: bytes, nnz: int) -> DecodedUnits:
     """Decode a full ctl stream into a :class:`DecodedUnits` bundle.
 
-    ``nnz`` is the expected nonzero count; a mismatch raises
+    The per-unit executable specification of the decode, kept as the
+    tests' oracle (next to :func:`encode_ctl_reference`): production
+    code reads the kernel plan's table instead.  ``nnz`` is the
+    expected nonzero count; a mismatch raises
     :class:`~repro.errors.EncodingError` (it means the stream was built
     for a different matrix).
     """

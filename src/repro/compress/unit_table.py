@@ -150,15 +150,21 @@ def scan_units(ctl: bytes) -> UnitTable:
         body_l.append(body)
     ctl_off.append(pos)
     flags_arr = np.asarray(flags_l, dtype=np.uint8)
+    try:
+        rows, ujmps, strides = (
+            np.asarray(field, dtype=np.int64) for field in (rows_l, ujmps_l, strides_l)
+        )
+    except OverflowError as exc:
+        raise EncodingError("unit header field exceeds the int64 range") from exc
     return UnitTable(
         flags=flags_arr,
         sizes=np.asarray(sizes_l, dtype=np.int64),
         classes=(flags_arr & 0x03).astype(np.int8),
-        rows=np.asarray(rows_l, dtype=np.int64),
+        rows=rows,
         new_row=(flags_arr & FLAG_NR).astype(bool),
         seq=(flags_arr & FLAG_SEQ).astype(bool),
-        ujmps=np.asarray(ujmps_l, dtype=np.int64),
-        strides=np.asarray(strides_l, dtype=np.int64),
+        ujmps=ujmps,
+        strides=strides,
         body_offsets=np.asarray(body_l, dtype=np.int64),
         ctl_offsets=np.asarray(ctl_off, dtype=np.int64),
     )
@@ -181,6 +187,20 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _prefix_sums(deltas: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(deltas)]`` in int64 arithmetic.
+
+    The explicit ``dtype`` keeps the sum in integers (left to itself,
+    NumPy sums u64 deltas through float64).  A u64 delta of ``2**63`` or
+    more wraps negative; kernel plans reject any stream whose
+    :attr:`BatchedColumnDecoder.max_delta` reaches ``ncols``.
+    """
+    ext = np.empty(deltas.size + 1, dtype=np.int64)
+    ext[0] = 0
+    np.cumsum(deltas, dtype=np.int64, out=ext[1:])
+    return ext
+
+
 class _ClassGroup:
     """Per-call decode state for one width class's plain multi-delta units."""
 
@@ -199,8 +219,10 @@ class BatchedColumnDecoder:
 
     Built once per matrix (the *plan build*); :meth:`columns` then
     yields the absolute column index of every nonzero with O(#classes)
-    NumPy passes.  The integer arithmetic is exact, so the result is
-    element-for-element identical to a unit-by-unit decode
+    NumPy passes.  It serves both the SpMV kernel and the machine
+    model's unit view (:func:`repro.kernels.plan.plan_units`).  The
+    integer arithmetic is exact, so the result is element-for-element
+    identical to the unit-by-unit decode the tests hold it to
     (:func:`~repro.compress.ctl.decode_units`).
 
     Static structure -- sequential-unit ramps, singleton columns and
@@ -209,6 +231,11 @@ class BatchedColumnDecoder:
     from the stream (they are the only per-element bytes the stream
     stores for plain units; SEQ units store a single stride varint
     that the header scan already consumed).
+
+    ``first_cols``/``last_cols`` hold every unit's first and last
+    column, and ``max_delta`` the largest delta in the stream (body
+    deltas and SEQ strides): the bounds a plan checks against the
+    matrix shape.
     """
 
     def __init__(self, ctl: bytes, table: UnitTable, nnz: int):
@@ -229,6 +256,7 @@ class BatchedColumnDecoder:
         multi = plain & (sizes > 1)
         groups: list[_ClassGroup] = []
         delta_sums = np.zeros(nunits, dtype=np.int64)
+        max_delta = 0
         for cls in range(4):
             sel = np.flatnonzero(multi & (table.classes == cls))
             if not sel.size:
@@ -248,13 +276,17 @@ class BatchedColumnDecoder:
             )
             # Decode this class once now: the per-unit delta sums feed
             # the first-column reconstruction.
-            ext = self._class_prefix_sums(group)
+            deltas = self._class_deltas(group)
+            max_delta = max(max_delta, int(deltas.max()))
+            ext = _prefix_sums(deltas)
             delta_sums[sel] = ext[dstarts + lens] - ext[dstarts]
             groups.append((sel, rep, group))
 
         sel_seq = np.flatnonzero(table.seq)
         if sel_seq.size:
             delta_sums[sel_seq] = table.strides[sel_seq] * (sizes[sel_seq] - 1)
+            max_delta = max(max_delta, int(table.strides[sel_seq].max()))
+        self.max_delta = max_delta
 
         # Units chain within a row: each unit spans ujmp + sum(deltas)
         # columns from the previous nonzero (column 0 at a row start).
@@ -290,14 +322,9 @@ class BatchedColumnDecoder:
         for sel, rep, g in groups:
             g.firsts_rep = self.first_cols[sel][rep]
 
-    def _class_prefix_sums(self, group: _ClassGroup) -> np.ndarray:
-        """Gather one class's delta bytes and return ``[0, cumsum(deltas)]``."""
-        raw = self._ctl_arr[group.body_index]
-        deltas = raw.view(group.dtype)
-        ext = np.empty(deltas.size + 1, dtype=np.int64)
-        ext[0] = 0
-        np.cumsum(deltas, out=ext[1:])
-        return ext
+    def _class_deltas(self, group: _ClassGroup) -> np.ndarray:
+        """Gather one class's delta bytes, viewed at the class's width."""
+        return self._ctl_arr[group.body_index].view(group.dtype)
 
     def columns(self) -> np.ndarray:
         """Absolute column of every nonzero (fresh int64 array per call).
@@ -308,6 +335,6 @@ class BatchedColumnDecoder:
         """
         cols = self._static_cols.copy()
         for g in self._groups:
-            ext = self._class_prefix_sums(g)
+            ext = _prefix_sums(self._class_deltas(g))
             cols[g.rest_pos] = g.firsts_rep + ext[1:] - ext[g.base_idx]
         return cols

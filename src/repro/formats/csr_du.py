@@ -19,6 +19,11 @@ Two SpMV tiers exist for this format (:mod:`repro.kernels.registry`):
   ``"reference"``) -- the paper's Fig. 3 kernel, line for line, in pure
   Python, and the oracle the plan is tested against.
 
+:attr:`CSRDUMatrix.units` is the plan's unit table as
+:class:`~repro.compress.ctl.DecodedUnits` (per-unit rows, sizes and ctl
+offsets, plus the decoded columns) for the machine model;
+:func:`repro.compress.ctl.decode_units` is its test oracle.
+
 :meth:`CSRDUMatrix.from_csr` encodes with the batched one-pass encoder;
 :func:`repro.compress.ctl.encode_ctl_reference` is the per-unit encode
 the tests hold it to.
@@ -31,7 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.compress.ctl import DecodedUnits, decode_units
+# decode_units is unused here; the e2e benchmark wraps this binding by name.
+from repro.compress.ctl import DecodedUnits, decode_units  # noqa: F401
 from repro.compress.delta import MAX_UNIT_SIZE
 from repro.compress.encode_batched import encode_ctl_batched
 from repro.errors import FormatError
@@ -80,16 +86,10 @@ class CSRDUMatrix(SparseMatrix):
     # -- decode cache -----------------------------------------------------
     @cached_property
     def units(self) -> DecodedUnits:
-        """Structure-of-arrays decode of the ctl stream (built lazily once)."""
-        du = decode_units(self.ctl, self.values.size)
-        if du.rows.size and int(du.rows[-1]) >= self.nrows:
-            raise FormatError(
-                f"ctl stream reaches row {int(du.rows[-1])} "
-                f"but the matrix has {self.nrows} rows"
-            )
-        if du.columns.size and int(du.columns.max()) >= self.ncols:
-            raise FormatError("ctl stream reaches a column beyond ncols")
-        return du
+        """The kernel plan's unit table (the plan build checks the shape)."""
+        from repro.kernels.plan import plan_units
+
+        return plan_units(self)
 
     # -- SparseMatrix interface --------------------------------------------
     @property
@@ -125,18 +125,6 @@ class CSRDUMatrix(SparseMatrix):
         X = _check_xmat(X, self.ncols)
         return get_plan(self).spmm(self.values, X, out=out)
 
-    # -- unit statistics ----------------------------------------------------
-    def unit_class_histogram(self) -> dict[int, int]:
-        """Units per width class, e.g. ``{0: 812, 1: 37}``."""
-        du = self.units
-        classes, counts = np.unique(du.classes, return_counts=True)
-        return dict(zip(classes.tolist(), counts.tolist()))
-
-    def mean_unit_size(self) -> float:
-        """Average nonzeros per unit (larger means lower decode overhead)."""
-        du = self.units
-        return float(du.sizes.mean()) if du.nunits else 0.0
-
     # -- conversions ----------------------------------------------------------
     @classmethod
     def from_csr(
@@ -170,17 +158,16 @@ class CSRDUMatrix(SparseMatrix):
 
     def to_csr(self) -> CSRMatrix:
         """Decode back to plain CSR (exact round-trip)."""
-        du = self.units
-        rows = np.repeat(du.rows, du.sizes)
-        counts = np.bincount(rows, minlength=self.nrows) if rows.size else np.zeros(
-            self.nrows, dtype=np.int64
-        )
-        row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        return CSRMatrix(
-            self.nrows,
-            self.ncols,
-            row_ptr.astype(np.int32),
-            du.columns.astype(np.int32),
-            self.values,
-        )
+        return units_to_csr(self, self.values)
+
+
+def units_to_csr(matrix, values) -> CSRMatrix:
+    """CSR with a delta-unit matrix's structure and the given *values*."""
+    du = matrix.units
+    return CSRMatrix(
+        matrix.nrows,
+        matrix.ncols,
+        du.row_ptr(matrix.nrows).astype(np.int32),
+        du.columns.astype(np.int32),
+        values,
+    )

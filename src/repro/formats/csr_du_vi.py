@@ -15,13 +15,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.compress.ctl import DecodedUnits, decode_units
+from repro.compress.ctl import DecodedUnits
 from repro.compress.delta import MAX_UNIT_SIZE
 from repro.compress.unique import unique_index_values
 from repro.errors import FormatError
 from repro.formats.base import SparseMatrix, Storage, register_format
 from repro.formats.csr import CSRMatrix
-from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du import CSRDUMatrix, units_to_csr
 from repro.util.validation import as_value_array
 
 
@@ -46,7 +46,10 @@ class CSRDUVIMatrix(SparseMatrix):
 
     @cached_property
     def units(self) -> DecodedUnits:
-        return decode_units(self.ctl, self.val_ind.size)
+        """The kernel plan's unit table (see :attr:`CSRDUMatrix.units`)."""
+        from repro.kernels.plan import plan_units
+
+        return plan_units(self)
 
     @property
     def nnz(self) -> int:
@@ -98,17 +101,4 @@ class CSRDUVIMatrix(SparseMatrix):
         return matrix
 
     def to_csr(self) -> CSRMatrix:
-        du = self.units
-        rows = np.repeat(du.rows, du.sizes)
-        counts = np.bincount(rows, minlength=self.nrows) if rows.size else np.zeros(
-            self.nrows, dtype=np.int64
-        )
-        row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        return CSRMatrix(
-            self.nrows,
-            self.ncols,
-            row_ptr.astype(np.int32),
-            du.columns.astype(np.int32),
-            self.vals_unique[self.val_ind],
-        )
+        return units_to_csr(self, self.vals_unique[self.val_ind])

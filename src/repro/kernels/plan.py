@@ -21,7 +21,8 @@ Two plan families cover the four plannable formats:
 Plans hold *structure only*; numerical values are passed in per call,
 so a plan never pins a stale values array.  CSR-DU plans re-decode all
 column indices from the ctl bytes on every call (decode-on-the-fly is
-preserved -- see DESIGN.md, "Kernel plans").
+preserved -- see DESIGN.md, "Kernel plans"), and also serve the machine
+model's ``units`` view (:func:`plan_units`).
 
 The CSR-DU row reduction deliberately uses ``np.add.at`` (element
 order, one scalar add per nonzero): that is bitwise identical to the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.compress.ctl import DecodedUnits
 from repro.compress.unit_table import BatchedColumnDecoder, scan_units
 from repro.errors import FormatError
 from repro.nputil.segops import SegmentedReducer
@@ -103,6 +105,11 @@ class CSRDUPlan:
     column decoder, and the per-nonzero row ids.  Each :meth:`spmv`
     re-decodes the column indices from the ctl bytes (width-class
     batched) and reduces per row in element order.
+
+    The build rejects, with :class:`~repro.errors.FormatError`, a
+    stream that reaches a row or column outside the matrix, holds a
+    delta of ``ncols`` or more (a wrapped u64 delta lands here), or
+    decodes a negative column.
     """
 
     __slots__ = ("nrows", "ncols", "nnz", "table", "decoder", "elem_rows")
@@ -118,6 +125,13 @@ class CSRDUPlan:
             )
         if table.nunits and int(decoder.last_cols.max()) >= ncols:
             raise FormatError("ctl stream reaches a column beyond ncols")
+        if decoder.max_delta >= ncols:
+            raise FormatError(
+                f"ctl stream holds a column delta of {decoder.max_delta} "
+                f"but the matrix has {ncols} columns"
+            )
+        if table.nunits and int(decoder.first_cols.min()) < 0:
+            raise FormatError("ctl stream decodes a negative column")
         self.nrows = nrows
         self.ncols = ncols
         self.nnz = nnz
@@ -168,6 +182,26 @@ def _build_plan(matrix):
         )
     raise FormatError(
         f"no kernel plan for format {name!r}; plannable: {PLANNABLE_FORMATS}"
+    )
+
+
+def plan_units(matrix) -> DecodedUnits:
+    """A delta-unit matrix's plan table, as :class:`~repro.compress.ctl.DecodedUnits`.
+
+    Reading it is not a kernel call: a cached plan is used without
+    counting a lookup, and only a missing one goes through :func:`get_plan`.
+    """
+    plan = getattr(matrix, PLAN_ATTR, None) or get_plan(matrix)
+    table = plan.table
+    return DecodedUnits(
+        rows=table.rows,
+        sizes=table.sizes,
+        classes=table.classes,
+        offsets=plan.decoder.offsets,
+        columns=plan.decoder.columns(),
+        new_row=table.new_row,
+        ctl_offsets=table.ctl_offsets,
+        seq=table.seq,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compress.ctl import FLAG_NR, FLAG_RJMP, FLAG_SEQ
-from repro.errors import EncodingError
+from repro.errors import EncodingError, FormatError
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.formats.csr_du_vi import CSRDUVIMatrix
@@ -107,51 +107,56 @@ def _csr_du_walk(
     n = len(ctl)
     units = 0
     class_elems = [0, 0, 0, 0]
-    while pos < n:
-        if pos + 2 > n:
-            raise EncodingError("truncated unit header")
-        uflags = ctl[pos]
-        usize = ctl[pos + 1]
-        pos += 2
-        units += 1
-        if uflags & FLAG_NR:
-            jump = 1
-            if uflags & FLAG_RJMP:
-                extra, pos = decode_varint(ctl, pos)
-                jump += extra
-            y_indx += jump
-            x_indx = 0
-        ujmp, pos = decode_varint(ctl, pos)
-        x_indx += ujmp
-        cls = uflags & 0x03
-        width = WIDTH_BYTES[cls]
-        class_elems[cls] += usize
-        acc = y[y_indx]
-        if uflags & FLAG_SEQ:
-            stride, pos = decode_varint(ctl, pos)
-            remaining = usize
-            while True:
-                acc += values[vidx] * x[x_indx]
-                vidx += 1
-                remaining -= 1
-                if remaining == 0:
-                    break
-                x_indx += stride
-        else:
-            if pos + (usize - 1) * width > n:
-                # A short slice below would silently read a smaller
-                # delta instead of failing; reject the stream up front.
-                raise EncodingError("truncated fixed-width run")
-            remaining = usize
-            while True:
-                acc += values[vidx] * x[x_indx]
-                vidx += 1
-                remaining -= 1
-                if remaining == 0:
-                    break
-                x_indx += int.from_bytes(ctl[pos : pos + width], "little")
-                pos += width
-        y[y_indx] = acc
+    try:
+        while pos < n:
+            if pos + 2 > n:
+                raise EncodingError("truncated unit header")
+            uflags = ctl[pos]
+            usize = ctl[pos + 1]
+            pos += 2
+            units += 1
+            if uflags & FLAG_NR:
+                jump = 1
+                if uflags & FLAG_RJMP:
+                    extra, pos = decode_varint(ctl, pos)
+                    jump += extra
+                y_indx += jump
+                x_indx = 0
+            ujmp, pos = decode_varint(ctl, pos)
+            x_indx += ujmp
+            cls = uflags & 0x03
+            width = WIDTH_BYTES[cls]
+            class_elems[cls] += usize
+            acc = y[y_indx]
+            if uflags & FLAG_SEQ:
+                stride, pos = decode_varint(ctl, pos)
+                remaining = usize
+                while True:
+                    acc += values[vidx] * x[x_indx]
+                    vidx += 1
+                    remaining -= 1
+                    if remaining == 0:
+                        break
+                    x_indx += stride
+            else:
+                if pos + (usize - 1) * width > n:
+                    # A short slice below would silently read a smaller
+                    # delta instead of failing; reject the stream up front.
+                    raise EncodingError("truncated fixed-width run")
+                remaining = usize
+                while True:
+                    acc += values[vidx] * x[x_indx]
+                    vidx += 1
+                    remaining -= 1
+                    if remaining == 0:
+                        break
+                    x_indx += int.from_bytes(ctl[pos : pos + width], "little")
+                    pos += width
+            y[y_indx] = acc
+    except (IndexError, OverflowError) as exc:
+        # Python ints never wrap, so a stream that steps past x, y or
+        # the values ends here (a u64 delta of 2**63 or more included).
+        raise FormatError(f"ctl stream indexes outside the matrix: {exc}") from exc
     if vidx != values.size:
         raise EncodingError(f"decoded {vidx} elements, expected {values.size}")
     if counters is not None:

@@ -97,16 +97,7 @@ def _row_ptr_of(matrix: SparseMatrix) -> np.ndarray:
     if isinstance(matrix, (CSRMatrix, CSRVIMatrix)):
         return matrix.row_ptr.astype(np.int64)
     if isinstance(matrix, (CSRDUMatrix, CSRDUVIMatrix)):
-        du = matrix.units
-        rows = np.repeat(du.rows, du.sizes)
-        counts = (
-            np.bincount(rows, minlength=matrix.nrows)
-            if rows.size
-            else np.zeros(matrix.nrows, dtype=np.int64)
-        )
-        out = np.zeros(matrix.nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=out[1:])
-        return out
+        return matrix.units.row_ptr(matrix.nrows)
     if isinstance(matrix, DCSRMatrix):
         return matrix.decoded.row_ptr.astype(np.int64)
     raise MachineModelError(

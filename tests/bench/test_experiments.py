@@ -152,3 +152,20 @@ class TestAblations:
         duvi = by_label["csr-du-vi"]
         assert duvi.total_bytes < by_label["csr-du"].total_bytes
         assert duvi.total_bytes < by_label["csr-vi"].total_bytes
+
+
+def test_model_clock_never_calls_the_per_unit_decoder(monkeypatch):
+    """table3 and fig7 price CSR-DU from the kernel plan's unit table;
+    the per-unit ``decode_units`` walk is only the tests' oracle."""
+    from repro.bench import report
+    from repro.compress import ctl
+    from repro.formats import csr_du
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decode_units called on the model clock")
+
+    monkeypatch.setattr(ctl, "decode_units", forbidden)
+    monkeypatch.setattr(csr_du, "decode_units", forbidden)
+    config = ExperimentConfig(scale=1 / 64)
+    assert report.format_speedup_table(table3(config, limit=1))
+    assert report.format_fig_series(fig7(config, limit=1))

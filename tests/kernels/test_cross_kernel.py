@@ -22,6 +22,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.kernels.plan import CSRDUPlan
 from repro.kernels.reference import spmv_csr_du_reference
+from repro.util.bitops import encode_varint
 from tests.conftest import PAPER_DENSE, random_sparse_dense
 
 POLICIES = ("greedy", "aligned", "seq")
@@ -175,6 +176,12 @@ class TestScannerErrors:
         # u16-class unit of 3 elements: needs 4 body bytes, give 1.
         with pytest.raises(EncodingError, match="truncated fixed-width run"):
             scan_units(bytes([0x41, 3, 0, 7]))
+
+    def test_header_field_beyond_int64(self):
+        ctl = bytearray([0x40, 1])
+        encode_varint(2**63, ctl)  # a ujmp no int64 column can hold
+        with pytest.raises(EncodingError, match="int64"):
+            scan_units(bytes(ctl))
 
     def test_nnz_mismatch(self):
         ctl = bytes([0x40, 2, 0, 1])  # one u8 unit, 2 elements

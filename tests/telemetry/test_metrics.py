@@ -32,7 +32,8 @@ class TestCsrDuEncodeMetrics:
         }
         assert width_counts, "no unit-width counters recorded"
         # The telemetry histogram is the format's own census.
-        hist = du.unit_class_histogram()
+        classes, counts = np.unique(du.units.classes, return_counts=True)
+        hist = dict(zip(classes.tolist(), counts.tolist()))
         for cls, n in hist.items():
             key = metric_key("encode.csr_du.units", {"width": WIDTH_LABELS[cls]})
             assert width_counts[key] == n
