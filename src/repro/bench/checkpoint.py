@@ -20,11 +20,10 @@ uninterrupted run's.  Two properties make that hold:
   column (which needs the whole matrix done), and the fill is
   re-applied identically on restore.
 
-Each line carries a configuration fingerprint (scale, clock, kernel,
-machine, thread configs).  Lines whose fingerprint does not match the
-resuming run — or that fail to parse, e.g. a torn final write from the
-crash itself — are skipped, not fatal: a checkpoint is a cache, never
-an authority.
+Each line carries a configuration fingerprint (scale, machine, thread
+configs).  Lines whose fingerprint does not match the resuming run — or
+that fail to parse, e.g. a torn final write from the crash itself — are
+skipped, not fatal: a checkpoint is a cache, never an authority.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ def fingerprint(
     return json.dumps(
         {
             "scale": config.scale,
-            "clock": config.clock,
-            "kernel": config.kernel,
             "machine": config.scaled_machine().name,
             "configs": ["{0}|{1}".format(*key) for key in configs],
         },

@@ -42,6 +42,7 @@ after it to :mod:`repro.bench.baseline`::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -137,24 +138,16 @@ def main(argv: list[str] | None = None) -> int:
         "--scale",
         type=float,
         default=1.0,
-        help="working-set scale (matrices and caches shrink together); 1.0 = paper size",
+        help=(
+            "working-set scale, positive (matrices and caches shrink "
+            "together); 1.0 = paper size"
+        ),
     )
     parser.add_argument(
         "--limit",
         type=int,
         default=None,
-        help="cap the number of matrices per set (deterministic subset)",
-    )
-    parser.add_argument(
-        "--kernel",
-        type=str,
-        default="cached",
-        choices=("cached", "reference"),
-        help=(
-            "kernel tier timed by the real clock (cached = the "
-            "format's own spmv, reference = the paper's pure-Python "
-            "listing); the model clock ignores it"
-        ),
+        help="cap the number of matrices per set, >= 1 (deterministic subset)",
     )
     parser.add_argument(
         "--format",
@@ -173,50 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "collapse each experiment's thread configurations to one: "
-            "an integer pins the count, auto asks the advisor per "
-            "matrix (GIL/CPU-aware under the real clock)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        type=str,
-        default="thread",
-        choices=("thread", "process"),
-        help=(
-            "executor for real-clock multi-worker cells: thread "
-            "(GIL-bound) or process (shared-memory shards, true "
-            "multi-core); the model clock ignores it"
-        ),
-    )
-    parser.add_argument(
-        "--storage",
-        type=str,
-        default="mem",
-        choices=("mem", "mmap"),
-        help=(
-            "shard storage for those cells: mem (RAM / shared memory) "
-            "or mmap (out-of-core shard files)"
-        ),
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget per real-clock executor cell; flows "
-            "into shard builds and per-chunk waits, and expiry raises "
-            "a typed DeadlineExceeded instead of hanging the sweep"
-        ),
-    )
-    parser.add_argument(
-        "--degrade",
-        action="store_true",
-        help=(
-            "wrap real-clock executors in the resilience degradation "
-            "ladder (backend process -> thread -> serial, storage "
-            "mmap -> mem) so repeated typed failures fall back to a "
-            "slower-but-correct rung instead of failing the cell"
+            "an integer from 1 to the machine's core count pins the "
+            "count, auto asks the advisor per matrix"
         ),
     )
     parser.add_argument(
@@ -250,9 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         type=str,
         default=None,
         help=(
-            "enable telemetry and write a chrome://tracing JSON file; "
-            "with --backend process the worker-side spans are merged "
-            "in, one process track per worker pid"
+            "enable telemetry and write a chrome://tracing JSON file"
         ),
     )
     parser.add_argument(
@@ -358,22 +307,22 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("'report-html' needs at least one experiment to run")
     if "all" in names:
         names = list(_EXPERIMENTS)
-    if args.threads is not None and args.threads != "auto":
-        try:
-            int(args.threads)
-        except ValueError:
-            parser.error("--threads takes an integer or 'auto'")
+    if not 0 < args.scale < math.inf:
+        parser.error("--scale must be positive and finite")
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
     config = ExperimentConfig(
         scale=args.scale,
-        kernel=args.kernel,
-        backend=args.backend,
-        storage=args.storage,
         format_override=args.format_name,
         threads_choice=args.threads,
         checkpoint_path=args.resume,
-        deadline_s=args.deadline,
-        degrade=args.degrade,
     )
+    if args.threads not in (None, "auto"):
+        ncores = config.machine.ncores
+        if not (args.threads.isdigit() and 1 <= int(args.threads) <= ncores):
+            parser.error(
+                f"--threads takes an integer from 1 to {ncores} or 'auto'"
+            )
     trace_on = profile or html_report or args.trace or args.chrome_trace
     obs_on = bool(
         args.obs

@@ -60,7 +60,7 @@ svg { border: 1px solid #cbd5e0; background: #fff; }
 _PALETTE = ("#2b6cb0", "#2f855a", "#b7791f", "#9b2c2c", "#553c9a", "#2c7a7b")
 
 #: Spans drawn in the timeline (others are setup noise at this zoom).
-_TIMELINE_SPANS = ("parallel.spmv", "parallel.chunk", "bench.measure")
+_TIMELINE_SPANS = ("parallel.spmv", "parallel.chunk")
 
 
 def _esc(value: Any) -> str:

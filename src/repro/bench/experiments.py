@@ -21,6 +21,7 @@ from repro.bench.harness import (
     run_format_matrix,
     run_set,
 )
+from repro.errors import ReproError
 from repro.formats.conversions import convert
 from repro.machine.simulate import simulate_spmv
 from repro.matrices.collection import (
@@ -38,6 +39,8 @@ _CLOSE = "close"
 
 def _subset(ids: tuple[int, ...], limit: int | None) -> tuple[int, ...]:
     """Deterministic subset for reduced-cost runs (every k-th id)."""
+    if limit is not None and limit < 1:
+        raise ReproError(f"limit must be at least 1, got {limit}")
     if limit is None or limit >= len(ids):
         return ids
     step = max(1, len(ids) // limit)

@@ -1,22 +1,13 @@
 """Experiment runner: (matrix id, format, threads, placement) -> results.
 
-Two clocks exist:
-
-* ``"model"`` (default) -- the machine model of :mod:`repro.machine`,
-  used for every paper table/figure (this container cannot exhibit
-  multicore bandwidth contention; see DESIGN.md section 3);
-* ``"real"`` -- wall-clock timing of the ``kernel`` tier via
-  :func:`repro.util.timing.measure` (the paper's 128-iteration
-  protocol), available for serial sanity checks.
+Every cell runs on the model clock: the machine model of
+:mod:`repro.machine`, used for every paper table/figure (this container
+cannot exhibit multicore bandwidth contention; see DESIGN.md section 3).
+Real-clock ``y = A x`` runs through
+:func:`repro.parallel.backends.make_executor` instead.
 
 The runner realizes each catalog matrix once per configuration, converts
 it to each requested format once, and fans out over thread counts.
-
-Real-clock cells honor the ``backend`` axis: ``"process"`` runs its
-chunks in fork-pool workers whose spans and metric shards are merged
-back into the parent's telemetry sink (:mod:`repro.obs.xproc`),
-so reports, traces and the dashboard's workers table cover them like
-any single-process run.
 """
 
 from __future__ import annotations
@@ -25,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.compress.encode_cache import ConvertCache, cached_convert
-from repro.errors import MachineModelError, ReproError
+from repro.errors import ReproError
 from repro.formats.base import SparseMatrix, Storage
 from repro.formats.conversions import convert
 from repro.machine.costmodel import CostModel, default_cost_model
@@ -36,7 +27,6 @@ from repro.perf import attribution as perf_attribution
 from repro.perf.attribution import Attribution
 from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
 from repro.telemetry import core as telemetry
-from repro.util.timing import measure
 
 #: The paper's thread configurations for Table II: thread count plus
 #: placement.  ``2 (1xL2)`` is close (shared L2), ``2 (2xL2)`` spread.
@@ -59,10 +49,9 @@ def _advise(matrix, config, *, matrix_id, formats, threads):
     return advise(
         matrix,
         matrix_id=matrix_id,
-        clock=config.clock,
+        clock="model",
         formats=formats,
         threads=threads,
-        backends=(config.backend,),
         machine=config.scaled_machine(),
         cost_model=config.cost_model,
     )
@@ -139,22 +128,6 @@ class ExperimentConfig:
     scale: float = 1.0
     machine: MachineSpec = field(default_factory=clovertown_8core)
     cost_model: CostModel = field(default_factory=default_cost_model)
-    clock: str = "model"
-    real_calls: int = 16
-    #: Kernel tier timed by the real clock: ``"cached"`` (the format's
-    #: own ``spmv``) or ``"reference"`` (the paper's pure-Python
-    #: listing); the model clock predicts from memory traffic and
-    #: ignores it.
-    kernel: str = "cached"
-    #: Execution backend for real-clock multi-worker cells:
-    #: ``"thread"`` (:class:`~repro.parallel.executor.ParallelSpMV`) or
-    #: ``"process"`` (:class:`~repro.parallel.process_executor.
-    #: ProcessParallelSpMV`, which escapes the GIL).  The model clock
-    #: ignores it.
-    backend: str = "thread"
-    #: Shard storage for those cells: ``"mem"`` or ``"mmap"``
-    #: (out-of-core shard files in a temporary directory).
-    storage: str = "mem"
     #: CLI ``--format`` override: replaces every *compressed* format an
     #: experiment requests (the CSR baseline always stays).  ``"auto"``
     #: asks the configuration advisor per matrix; an explicit name
@@ -163,8 +136,8 @@ class ExperimentConfig:
     format_override: str | None = None
     #: CLI ``--threads`` override: replaces an experiment's thread
     #: configurations with a single ``(N, "close")`` entry.  ``"auto"``
-    #: asks the advisor per matrix (GIL/CPU-aware under the real
-    #: clock); a numeric string pins the count.  ``None`` disables.
+    #: asks the advisor per matrix; a numeric string pins the count.
+    #: ``None`` disables.
     threads_choice: str | None = None
     #: Checkpoint JSONL path for :func:`run_set` (``None`` disables).
     #: Finished (matrix, format) cells are appended as they complete;
@@ -173,18 +146,6 @@ class ExperimentConfig:
     #: (see :mod:`repro.bench.checkpoint`).  The CLI's ``--resume``
     #: flag sets this.
     checkpoint_path: str | None = None
-    #: Wall-clock budget in seconds for each real-clock executor cell
-    #: (CLI ``--deadline``).  Materialized as one
-    #: :class:`~repro.resilience.policy.Deadline` per cell that flows
-    #: through ``make_executor`` into shard builds and per-chunk waits;
-    #: expiry surfaces as a typed ``DeadlineExceeded`` rather than a
-    #: hung sweep.  ``None`` (default) disables.
-    deadline_s: float | None = None
-    #: Wrap real-clock executors in the resilience degradation ladder
-    #: (CLI ``--degrade``): backend falls process -> thread -> serial
-    #: and storage mmap -> mem on repeated typed failures, with every
-    #: transition emitted as ``resilience.degrade`` telemetry.
-    degrade: bool = False
 
     def scaled_machine(self) -> MachineSpec:
         return self.machine if self.scale == 1.0 else self.machine.scaled(self.scale)
@@ -196,9 +157,7 @@ class MatrixResult:
 
     ``attributions`` carries one :class:`~repro.perf.attribution.Attribution`
     per configuration -- bytes/iteration, effective GB/s, %-of-roofline,
-    imbalance ratios -- for every format the traffic model supports
-    (empty for the exotic formats the real clock can time but the
-    byte-layout census cannot split).
+    imbalance ratios.
     """
 
     matrix_id: int
@@ -264,11 +223,11 @@ def run_format_matrix(
         from repro.kernels.plan import PLANNABLE_FORMATS, get_plan
 
         # Build the kernel plan once per cell -- the amortized setup
-        # every iterative caller pays exactly once.  Under the model
-        # clock this runs only when tracing, so the plan.build/hit/miss
-        # counters appear in --trace output either way.
-        plannable = converted.name in PLANNABLE_FORMATS
-        if plannable and (config.clock == "real" or tracing):
+        # every iterative caller pays exactly once.  This runs only when
+        # tracing, so the plan.build/hit/miss counters appear in --trace
+        # output.
+        trace_plan = tracing and converted.name in PLANNABLE_FORMATS
+        if trace_plan:
             get_plan(converted)
         setup_s = time.perf_counter() - setup_t0
         machine = config.scaled_machine()
@@ -281,118 +240,36 @@ def run_format_matrix(
         breakdowns: dict[int, ByteBreakdown] = {}  # per thread count
         for threads, placement in configs:
             key = (threads, placement)
-            sim_res = None
-            if plannable and tracing:
+            if trace_plan:
                 get_plan(converted)  # cache hit, one per configuration
-            if config.clock == "model":
-                res = simulate_spmv(
-                    converted,
-                    threads,
-                    machine,
-                    placement=placement,
-                    cost_model=config.cost_model,
-                )
-                times[key] = res.time_s
-                mflops[key] = res.mflops
-                bounds[key] = res.bound
-                sim_res = res
-            elif config.clock == "real":
-                import numpy as np
-
-                rng = np.random.default_rng(0)
-                x = rng.random(converted.ncols)
-                if threads == 1 and config.backend == "thread":
-                    from repro.kernels.registry import get_kernel
-
-                    kernel = get_kernel(format_name, config.kernel)
-                    kernel(converted, x)  # warm caches / decode caches
-                    with telemetry.span(
-                        "bench.measure", matrix_id=matrix_id, format=format_name
-                    ):
-                        m = measure(
-                            lambda: kernel(converted, x),
-                            calls=config.real_calls,
-                            repeats=3,
-                        )
-                else:
-                    # Multi-worker (or process-backend) wall clock: time
-                    # the real executor end to end.  Until PR 7 this
-                    # raised -- the thread backend's GIL-bound numbers
-                    # answered nothing -- but the backend axis makes the
-                    # measurement honest: the process backend does the
-                    # work in parallel on multi-core hosts.
-                    import tempfile
-
-                    from repro.parallel.backends import make_executor
-
-                    tmp = (
-                        tempfile.TemporaryDirectory(prefix="bench-shards-")
-                        if config.storage == "mmap"
-                        else None
-                    )
-                    deadline = None
-                    if config.deadline_s is not None:
-                        from repro.resilience.policy import Deadline
-
-                        deadline = Deadline.after(config.deadline_s)
-                    executor = make_executor(
-                        matrix,
-                        threads,
-                        backend=config.backend,
-                        storage=config.storage,
-                        format_name=format_name,
-                        directory=tmp.name if tmp is not None else None,
-                        convert_cache=convert_cache,
-                        deadline=deadline,
-                        degrade=config.degrade,
-                        **format_kwargs,
-                    )
-                    try:
-                        executor(x)  # warm pools / decode caches
-                        with telemetry.span(
-                            "bench.measure",
-                            matrix_id=matrix_id,
-                            format=format_name,
-                        ):
-                            m = measure(
-                                lambda: executor(x),
-                                calls=config.real_calls,
-                                repeats=3,
-                            )
-                    finally:
-                        executor.close()
-                        if tmp is not None:
-                            tmp.cleanup()
-                times[key] = m.per_call
-                mflops[key] = 2 * converted.nnz / m.per_call / 1e6
-                bounds[key] = "wallclock"
-            else:
-                raise ReproError(f"unknown clock {config.clock!r}")
-            try:
-                if threads not in breakdowns:
-                    breakdowns[threads] = bytes_per_iteration(converted, threads)
-                att = perf_attribution.attribute_cell(
-                    converted,
-                    threads=threads,
-                    placement=placement,
-                    time_s=times[key],
-                    machine=machine,
-                    cost_model=config.cost_model,
-                    matrix_id=matrix_id,
-                    clock=config.clock,
-                    sim=sim_res,
-                    csr_storage=csr_storage,
-                    breakdown=breakdowns[threads],
-                    setup_s=setup_s,
-                )
-            except MachineModelError:
-                # Formats the byte-layout census cannot split (coo) still
-                # get timed; they just go unattributed.
-                pass
-            else:
-                attributions[key] = att
-                if tracing:
-                    perf_attribution.record(att)
+            sim = simulate_spmv(
+                converted,
+                threads,
+                machine,
+                placement=placement,
+                cost_model=config.cost_model,
+            )
+            times[key] = sim.time_s
+            mflops[key] = sim.mflops
+            bounds[key] = sim.bound
+            if threads not in breakdowns:
+                breakdowns[threads] = bytes_per_iteration(converted, threads)
+            att = perf_attribution.attribute_cell(
+                converted,
+                threads=threads,
+                placement=placement,
+                time_s=sim.time_s,
+                machine=machine,
+                cost_model=config.cost_model,
+                matrix_id=matrix_id,
+                sim=sim,
+                csr_storage=csr_storage,
+                breakdown=breakdowns[threads],
+                setup_s=setup_s,
+            )
+            attributions[key] = att
+            if tracing:
+                perf_attribution.record(att)
         cell.add(nnz=converted.nnz)
     return MatrixResult(
         matrix_id=matrix_id,

@@ -66,8 +66,7 @@ def run_payload(results: dict[str, Any], config: ExperimentConfig) -> dict:
         "library_version": __version__,
         "scale": config.scale,
         "machine": config.scaled_machine().name,
-        "clock": config.clock,
-        "kernel": config.kernel,
+        "clock": "model",
         "cost_model": dataclasses.asdict(config.cost_model),
         "machine_spec": {
             k: v

@@ -42,7 +42,7 @@ class Attribution:
 
     ``bytes_per_iter`` is the exact streamed byte count (pre-residency,
     from the format's layout); ``dram_bytes`` the machine model's
-    post-residency DRAM traffic (0 under the real clock).
+    post-residency DRAM traffic.
     ``roofline_pct`` is achieved MFLOPS as a percentage of the
     roofline ceiling ``min(peak, bandwidth * intensity)``.
     """
@@ -116,9 +116,8 @@ def attribute_cell(
     time_s: float,
     machine: MachineSpec,
     cost_model: CostModel,
+    sim: SimResult,
     matrix_id: int = -1,
-    clock: str = "model",
-    sim: SimResult | None = None,
     csr_storage: Storage | None = None,
     breakdown: ByteBreakdown | None = None,
     setup_s: float = 0.0,
@@ -126,10 +125,8 @@ def attribute_cell(
     """Build the attribution record for one measured cell.
 
     ``sim`` supplies the model clock's DRAM traffic, binding constraint
-    and per-thread compute times; under the real clock it is ``None``
-    and the streamed byte count stands in for traffic (``bound``
-    becomes ``"wallclock"``).  ``breakdown`` lets callers measuring the
-    same matrix at several placements reuse one byte census.
+    and per-thread compute times.  ``breakdown`` lets callers measuring
+    the same matrix at several placements reuse one byte census.
     ``setup_s`` is the cell's one-time preprocessing cost (encode +
     plan build) as the harness measured it.
     """
@@ -138,24 +135,17 @@ def attribute_cell(
     mflops = flops / time_s / 1e6 if time_s > 0 else 0.0
     effective_gbps = bd.total_bytes / time_s / 1e9 if time_s > 0 else 0.0
 
-    if sim is not None:
-        dram_bytes = float(sim.total_traffic)
-        bound = sim.bound
-        compute = sim.compute_s
-        mean_c = sum(compute) / len(compute) if compute else 0.0
-        time_imbalance = max(compute) / mean_c if mean_c > 0 else 1.0
-    else:
-        dram_bytes = 0.0
-        bound = "wallclock"
-        time_imbalance = 1.0
+    dram_bytes = float(sim.total_traffic)
+    compute = sim.compute_s
+    mean_c = sum(compute) / len(compute) if compute else 0.0
+    time_imbalance = max(compute) / mean_c if mean_c > 0 else 1.0
 
     # Roofline ceiling at this thread count: the model's DRAM traffic
-    # sets the intensity when available (zero means cache-resident, so
-    # the ceiling is compute peak), else the exact streamed bytes.
-    traffic = dram_bytes if sim is not None else float(bd.total_bytes)
+    # sets the intensity (zero means cache-resident, so the ceiling is
+    # compute peak).
     peak = machine_peak_flops(machine, threads, cost_model)
     bandwidth = min(machine.mem_bw, threads * machine.core_bw)
-    intensity = flops / traffic if traffic > 0 else float("inf")
+    intensity = flops / dram_bytes if dram_bytes > 0 else float("inf")
     ridge = peak / bandwidth
     attainable = min(peak, bandwidth * intensity)
     attainable_mflops = attainable / 1e6
@@ -171,7 +161,7 @@ def attribute_cell(
         format_name=matrix.name,
         threads=threads,
         placement=placement,
-        clock=clock,
+        clock="model",
         time_s=time_s,
         mflops=mflops,
         flops=flops,
@@ -185,7 +175,7 @@ def attribute_cell(
         attainable_mflops=attainable_mflops,
         roofline_pct=roofline_pct,
         memory_bound=intensity < ridge,
-        bound=bound,
+        bound=sim.bound,
         nnz_imbalance=bd.nnz_imbalance,
         time_imbalance=time_imbalance,
         compression_ratio=compression_ratio,

@@ -249,9 +249,6 @@ VOCABULARY: dict[str, Spec] = {
         "span", "matrix_id format", "one (matrix, format) cell",
         Live("histogram", "bench.cell.seconds", ("format",)),
     ),
-    "bench.measure": _spec(
-        "span", "matrix_id format", "real-clock measurement of one cell"
-    ),
     "obs.alert": _spec(
         "counter", "rule expr metric value threshold",
         "one fired SLO rule from the live rule engine",

@@ -5,9 +5,9 @@ that protocol (a fixed number of back-to-back calls, reporting the mean
 per-call time) while :class:`Timer` is a small context-manager stopwatch
 for ad-hoc instrumentation.
 
-These are used only by the *real* clock of the benchmark harness; the
-paper-shaped results come from the machine model, which does not depend
-on this container's hardware.
+The advisor's host calibration and the microbenchmarks time real calls
+with them; the paper-shaped results come from the machine model, which
+does not depend on the host's hardware.
 """
 
 from __future__ import annotations

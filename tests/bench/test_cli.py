@@ -44,6 +44,40 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["tableX", "--scale", "0.015625"])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--limit", "0"],
+            ["--limit", "-1"],
+            ["--threads", "0"],
+            ["--threads", "-2"],
+            ["--threads", "9"],
+            ["--scale", "0"],
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, args, capsys):
+        """Rejected by the parser before any matrix is realized."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--scale", "0.015625", *args])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kernel", "cached"],
+            ["--backend", "thread"],
+            ["--storage", "mem"],
+            ["--deadline", "1"],
+            ["--degrade"],
+        ],
+    )
+    def test_real_clock_flags_gone(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--scale", "0.015625", "--limit", "1", *args])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTelemetryCLI:
     def test_trace_writes_jsonl(self, tmp_path, capsys):

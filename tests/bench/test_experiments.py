@@ -15,6 +15,7 @@ from repro.bench.experiments import (
     table4,
 )
 from repro.bench.harness import ExperimentConfig
+from repro.errors import ReproError
 
 SCALE = 1 / 64
 LIMIT = 3
@@ -169,3 +170,11 @@ def test_model_clock_never_calls_the_per_unit_decoder(monkeypatch):
     config = ExperimentConfig(scale=1 / 64)
     assert report.format_speedup_table(table3(config, limit=1))
     assert report.format_fig_series(fig7(config, limit=1))
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_rejected(config, limit):
+    """``limit=0`` used to divide by zero and ``limit=-1`` silently
+    dropped the last matrix of every set."""
+    with pytest.raises(ReproError, match="limit"):
+        table2(config, limit=limit)

@@ -11,7 +11,7 @@ from repro.bench.harness import (
     run_format_matrix,
     run_set,
 )
-from repro.errors import ReproError
+from repro.errors import MachineModelError, ReproError
 from repro.matrices.collection import realize
 
 SCALE = 1 / 64
@@ -54,26 +54,11 @@ class TestRunFormatMatrix:
         assert csr.scaling((1, "close")) == 1.0
         assert csr.scaling((8, "close")) > 0.5
 
-    def test_real_clock_serial(self, matrix):
-        config = ExperimentConfig(scale=SCALE, clock="real", real_calls=2)
-        res = run_format_matrix(
-            matrix, "csr", config, configs=((1, "close"),)
-        )
-        assert res.times[(1, "close")] > 0
-        assert res.bounds[(1, "close")] == "wallclock"
-
-    def test_real_clock_multiworker_uses_executor(self, matrix):
-        config = ExperimentConfig(scale=SCALE, clock="real", real_calls=1)
-        res = run_format_matrix(
-            matrix, "csr", config, configs=((2, "close"),)
-        )
-        assert res.times[(2, "close")] > 0
-        assert res.bounds[(2, "close")] == "wallclock"
-
-    def test_unknown_clock(self, matrix):
-        config = ExperimentConfig(scale=SCALE, clock="sundial")
-        with pytest.raises(ReproError, match="clock"):
-            run_format_matrix(matrix, "csr", config)
+    def test_unpriceable_format_is_a_typed_error(self, matrix, config):
+        """The traffic model has no COO layout: the cell fails with a
+        MachineModelError naming the format, not a bare error."""
+        with pytest.raises(MachineModelError, match="COOMatrix"):
+            run_format_matrix(matrix, "coo", config, configs=((1, "close"),))
 
 
 class TestRunSet:

@@ -271,10 +271,7 @@ def test_harness_resolvers():
     assert resolve_thread_configs(matrix, pinned) == ((1, "close"), (2, "close"))
 
     auto = ExperimentConfig(
-        scale=0.03125,
-        clock="model",
-        format_override="auto",
-        threads_choice="auto",
+        scale=0.03125, format_override="auto", threads_choice="auto"
     )
     formats = resolve_formats(matrix, ("csr", "csr-du"), auto)
     assert formats[0] == "csr"
@@ -291,9 +288,7 @@ def test_run_set_with_auto_override_runs_end_to_end():
     from repro.bench.harness import ExperimentConfig, run_set
     from repro.matrices.collection import MS_IDS
 
-    config = ExperimentConfig(
-        scale=0.03125, clock="model", format_override="auto"
-    )
+    config = ExperimentConfig(scale=0.03125, format_override="auto")
     results = run_set(
         (MS_IDS[0],), ("csr", "csr-du"), config, configs=((1, "close"),)
     )

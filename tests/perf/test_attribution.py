@@ -58,25 +58,6 @@ class TestAttributeCell:
         assert 0.0 < att.roofline_pct <= 100.0 + 1e-9
         assert att.attainable_mflops <= machine_peak_flops(machine, 2, cost) / 1e6
 
-    def test_wallclock_fields(self, paper_matrix, machine, cost):
-        att = attribute_cell(
-            paper_matrix,
-            threads=1,
-            placement="close",
-            time_s=1e-6,
-            machine=machine,
-            cost_model=cost,
-            clock="real",
-        )
-        assert att.bound == "wallclock"
-        assert att.dram_bytes == 0.0
-        assert att.time_imbalance == 1.0
-        assert att.clock == "real"
-        # With no sim, intensity comes from the streamed bytes.
-        assert att.flops_per_byte == pytest.approx(
-            att.flops / att.bytes_per_iter
-        )
-
     def test_compression_ratio_vs_csr(self, paper_matrix, machine, cost):
         csr_storage = paper_matrix.storage()
         vi = convert(paper_matrix, "csr-vi")
@@ -87,6 +68,7 @@ class TestAttributeCell:
             time_s=1e-6,
             machine=machine,
             cost_model=cost,
+            sim=simulate_spmv(vi, 1, machine, cost_model=cost),
             csr_storage=csr_storage,
         )
         assert att.compression_ratio == pytest.approx(
@@ -102,6 +84,7 @@ class TestAttributeCell:
             time_s=2e-6,
             machine=machine,
             cost_model=cost,
+            sim=simulate_spmv(paper_matrix, 1, machine, cost_model=cost),
         )
         assert att.speedup_vs_csr == 0.0
         filled = att.with_speedup(3e-6)
@@ -117,6 +100,7 @@ class TestAttributeCell:
             time_s=1e-6,
             machine=machine,
             cost_model=cost,
+            sim=simulate_spmv(paper_matrix, 1, machine, cost_model=cost),
         )
         assert att.plan_hit_rate == 0.0  # no collector -> no lookups seen
 
@@ -132,6 +116,9 @@ class TestTelemetry:
             time_s=1e-6,
             machine=machine,
             cost_model=cost,
+            sim=simulate_spmv(
+                paper_matrix, 4, machine, placement="spread", cost_model=cost
+            ),
         )
         record(att)
         events = [
@@ -166,6 +153,7 @@ class TestTelemetry:
             time_s=1e-6,
             machine=machine,
             cost_model=cost,
+            sim=simulate_spmv(du, 1, machine, cost_model=cost),
         )
         assert att.plan_misses == 1
         assert att.plan_hits == 1
@@ -203,31 +191,6 @@ class TestHarnessIntegration:
             )
         for att in csr.attributions.values():
             assert att.speedup_vs_csr == 0.0
-
-    def test_real_clock_attribution(self, paper_matrix):
-        config = ExperimentConfig(clock="real", real_calls=2)
-        res = run_format_matrix(
-            paper_matrix,
-            "csr-vi",
-            config,
-            matrix_id=3,
-            configs=((1, "close"),),
-        )
-        att = res.attributions[(1, "close")]
-        assert att.bound == "wallclock"
-        assert att.clock == "real"
-
-    def test_unattributable_format_still_times(self, paper_matrix):
-        config = ExperimentConfig(clock="real", real_calls=2)
-        res = run_format_matrix(
-            paper_matrix,
-            "coo",
-            config,
-            matrix_id=3,
-            configs=((1, "close"),),
-        )
-        assert res.attributions == {}
-        assert len(res.times) == 1
 
 
 class TestCorrelation:
