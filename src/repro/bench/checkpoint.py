@@ -37,7 +37,8 @@ from repro.formats.base import Storage
 from repro.perf.attribution import Attribution
 
 #: Bumped if the line layout ever changes; mismatched lines are skipped.
-FORMAT_VERSION = 1
+#: Version 2 dropped the attribution's kernel-plan cache counters.
+FORMAT_VERSION = 2
 
 
 def fingerprint(

@@ -31,8 +31,8 @@ collapsed stacks::
     python -m repro.bench table2 --scale 0.0625 --stacks-out stacks.txt
 
 ``report-html`` works like ``profile`` but renders the
-:mod:`repro.bench.dashboard` report (attribution tables, per-thread
-timelines, baseline deltas) instead; ``perf-gate`` delegates everything
+:mod:`repro.bench.dashboard` report (attribution tables, advisor,
+reliability, baseline deltas) instead; ``perf-gate`` delegates everything
 after it to :mod:`repro.bench.baseline`::
 
     python -m repro.bench report-html table2 --scale 0.0625 --html report.html
@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         "--stacks-hz",
         type=float,
         default=97.0,
-        help="sampling profiler rate in Hz (default 97)",
+        help="sampling profiler rate in Hz, positive (default 97)",
     )
     args = parser.parse_args(argv)
 
@@ -311,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scale must be positive and finite")
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
+    if not 0 < args.stacks_hz < math.inf:
+        parser.error("--stacks-hz must be positive and finite")
     config = ExperimentConfig(
         scale=args.scale,
         format_override=args.format_name,
@@ -415,14 +417,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[obs] ALERT {alert.describe()}")
         if trace_on:
             if profile:
-                from repro.perf.imbalance import format_report, summarize_parallel
-
                 print()
                 print(summary(collector, top=args.top))
-                report = summarize_parallel(collector.snapshot())
-                if report.ncalls:
-                    print()
-                    print(format_report(report))
             if html_report:
                 from repro.bench.dashboard import write_dashboard
                 from repro.bench.record import load_run, run_payload

@@ -1,7 +1,7 @@
 """Self-contained HTML performance report (the ``report-html`` output).
 
-One file, zero external assets (inline CSS, inline SVG -- it must open
-from a mail attachment or CI artifact with no network), rendering:
+One file, zero external assets (inline CSS -- it must open from a mail
+attachment or CI artifact with no network), rendering:
 
 * the **attribution table** -- every ``perf.attribution`` record the
   run emitted (one per measured bench cell), with the byte split,
@@ -9,19 +9,14 @@ from a mail attachment or CI artifact with no network), rendering:
   constraint, imbalance ratios and compression-vs-speedup columns;
 * the **compression correlation** -- Pearson r between size reduction
   and speedup across attributed cells, the paper's headline claim;
-* **per-thread timelines** -- an SVG lane per OS thread built from the
-  recorded spans, so barrier waits are visible as gaps;
-* the **parallel balance table** from
-  :func:`repro.perf.imbalance.summarize_parallel`;
-* the **workers table** -- per-worker chunk count, busy time, exact
-  p50/p99 chunk latency and retries for process-backend runs (built
-  from the worker spans ``repro.obs.xproc`` merges back);
-* **baseline deltas** -- worst relative movements of the current
-  recorded run against a baseline bundle, when both are given;
 * the **advisor summary** -- per-matrix predicted config vs exhaustive
   oracle config, regret and prediction error, rendered from a
   ``BENCH_advisor.json`` bundle (``--advisor-json``) and/or the
-  ``advisor.pick`` telemetry events the run emitted.
+  ``advisor.pick`` telemetry events the run emitted;
+* the **reliability summary** -- encode-cache and shard-cache hit
+  ratios, kernel fallbacks, executor retries and SLO alerts;
+* **baseline deltas** -- worst relative movements of the current
+  recorded run against a baseline bundle, when both are given.
 
 Everything renders from data already collected elsewhere (telemetry
 events, recorded-run JSON); this module only formats.
@@ -34,11 +29,7 @@ from typing import Any, Iterable
 
 from repro.bench.compare import compare_runs
 from repro.perf.attribution import compression_speedup_correlation
-from repro.perf.imbalance import (
-    _as_dicts,
-    summarize_parallel,
-    thread_timelines,
-)
+from repro.perf.imbalance import _as_dicts
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -53,14 +44,7 @@ tr:nth-child(even) td { background: #f7fafc; }
 .note { color: #4a5568; font-size: .9em; }
 .bad { color: #c53030; font-weight: bold; }
 .ok { color: #2f855a; }
-svg { border: 1px solid #cbd5e0; background: #fff; }
 """
-
-#: Fill colors cycled over span names in the timeline SVG.
-_PALETTE = ("#2b6cb0", "#2f855a", "#b7791f", "#9b2c2c", "#553c9a", "#2c7a7b")
-
-#: Spans drawn in the timeline (others are setup noise at this zoom).
-_TIMELINE_SPANS = ("parallel.spmv", "parallel.chunk")
 
 
 def _esc(value: Any) -> str:
@@ -99,7 +83,7 @@ def _attribution_table(rows: list[dict]) -> str:
         "<th>bytes/iter</th><th>index</th><th>value</th><th>vector</th>"
         "<th>F:B</th><th>GB/s</th><th>roofline</th><th class=l>bound</th>"
         "<th>nnz imb</th><th>t imb</th><th>size vs CSR</th>"
-        "<th>speedup</th><th>plan h/m</th><th>setup (s)</th></tr>"
+        "<th>speedup</th><th>setup (s)</th></tr>"
     )
     body = []
     for r in rows:
@@ -126,7 +110,6 @@ def _attribution_table(rows: list[dict]) -> str:
             f"<td>{float(r.get('time_imbalance', 1.0)):.3f}</td>"
             f"<td>{float(r.get('compression_ratio', 1.0)):.3f}</td>"
             f"<td>{speedup:.3f}</td>"
-            f"<td>{int(r.get('plan_hits', 0))}/{int(r.get('plan_misses', 0))}</td>"
             f"<td>{float(r.get('setup_s', 0.0)):.3e}</td>"
             "</tr>"
         )
@@ -151,104 +134,6 @@ def _correlation_section(rows: list[dict]) -> str:
         f"{len(points)} compressed cells: <b>{r:+.3f}</b> "
         "(the paper's claim is that smaller streams run faster once "
         "bandwidth binds, i.e. positive).</p>"
-    )
-
-
-def _timeline_svg(events: Iterable[Any], *, max_spans: int = 600) -> str:
-    lanes = thread_timelines(events)
-    drawable = {
-        lane: [s for s in spans if s[2] in _TIMELINE_SPANS]
-        for lane, spans in lanes.items()
-    }
-    drawable = {lane: spans for lane, spans in drawable.items() if spans}
-    if not drawable:
-        return "<p class=note>No parallel spans recorded in this run.</p>"
-    t0 = min(s[0] for spans in drawable.values() for s in spans)
-    t1 = max(s[0] + s[1] for spans in drawable.values() for s in spans)
-    width_us = max(t1 - t0, 1.0)
-    width_px, lane_h, label_w = 960, 22, 90
-    height = lane_h * len(drawable) + 24
-    colors = {
-        name: _PALETTE[i % len(_PALETTE)]
-        for i, name in enumerate(_TIMELINE_SPANS)
-    }
-    parts = [
-        f'<svg width="{width_px + label_w}" height="{height}" '
-        'xmlns="http://www.w3.org/2000/svg" role="img">'
-    ]
-    drawn = 0
-    for row, ((pid, tid), spans) in enumerate(sorted(drawable.items())):
-        y = row * lane_h + 16
-        label = f"tid {tid}" if pid == 0 else f"pid {pid}"
-        parts.append(
-            f'<text x="2" y="{y + 12}" font-size="11">{_esc(label)}</text>'
-        )
-        for ts, dur, name in spans:
-            if drawn >= max_spans:
-                break
-            x = label_w + (ts - t0) / width_us * width_px
-            w = max(dur / width_us * width_px, 0.5)
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" '
-                f'height="{lane_h - 6}" fill="{colors[name]}" '
-                f'fill-opacity="0.75"><title>{_esc(name)} '
-                f"{dur:.1f}us</title></rect>"
-            )
-            drawn += 1
-    legend_x = label_w
-    for i, name in enumerate(_TIMELINE_SPANS):
-        parts.append(
-            f'<rect x="{legend_x}" y="2" width="10" height="10" '
-            f'fill="{colors[name]}"/>'
-            f'<text x="{legend_x + 14}" y="11" font-size="10">{_esc(name)}</text>'
-        )
-        legend_x += 14 + 8 * len(name)
-    parts.append("</svg>")
-    cap = (
-        f"<p class=note>Timeline truncated at {max_spans} spans.</p>"
-        if drawn >= max_spans
-        else ""
-    )
-    return (
-        f"<p class=note>{width_us / 1e3:.3f} ms window, one lane per "
-        f"execution stream (OS thread, or worker process for the process "
-        f"backend); hover a bar for span name and duration.</p>"
-        + "".join(parts)
-        + cap
-    )
-
-
-def _balance_table(events: Iterable[Any], *, max_calls: int = 30) -> str:
-    report = summarize_parallel(events)
-    if not report.ncalls:
-        return "<p class=note>No multithreaded SpMV calls in this run.</p>"
-    head = (
-        "<tr><th>call</th><th>duration (ms)</th><th>threads</th>"
-        "<th>time imbalance</th><th>nnz imbalance</th>"
-        "<th>nnz-vs-time</th><th>barrier wait (ms)</th></tr>"
-    )
-    body = []
-    for i, call in enumerate(report.calls[:max_calls]):
-        body.append(
-            "<tr>"
-            f"<td>{i}</td><td>{call.dur_us / 1e3:.3f}</td>"
-            f"<td>{len(call.busy_us)}</td>"
-            f"<td>{call.time_imbalance:.3f}</td>"
-            f"<td>{call.nnz_imbalance:.3f}</td>"
-            f"<td>{call.nnz_vs_time:.3f}</td>"
-            f"<td>{call.total_barrier_wait_us / 1e3:.3f}</td></tr>"
-        )
-    note = (
-        f"<p class=note>Showing {max_calls} of {report.ncalls} calls.</p>"
-        if report.ncalls > max_calls
-        else ""
-    )
-    return (
-        f"<p>{report.ncalls} multithreaded calls, mean time imbalance "
-        f"<b>{report.mean_time_imbalance:.3f}</b>, mean nnz-vs-time "
-        f"<b>{report.mean_nnz_vs_time:.3f}</b>, total barrier wait "
-        f"{report.total_barrier_wait_us / 1e3:.3f} ms.</p>"
-        f"<table>{head}{''.join(body)}</table>{note}"
     )
 
 
@@ -327,70 +212,6 @@ def _reliability_section(events: Iterable[Any], *, max_alerts: int = 50) -> str:
                 "alerts.</p>"
             )
     return "".join(parts)
-
-
-def _workers_section(events: Iterable[Any]) -> str:
-    """Per-worker table for process-backend runs.
-
-    Built from the worker-emitted ``parallel.chunk`` spans merged back
-    by ``repro.obs.xproc`` (they carry ``pid``), plus the parent's
-    ``executor.retry`` events keyed by worker index.  p50/p99 are exact
-    nearest-rank percentiles over the span durations -- the raw samples
-    are all here, unlike the live histogram's bucketed estimate.
-    """
-    workers: dict[int, dict] = {}
-    retries: dict[int, int] = {}
-    for ev in _as_dicts(events):
-        name = ev.get("name")
-        attrs = ev.get("attrs", {})
-        if (
-            name == "parallel.chunk"
-            and ev.get("kind") == "span"
-            and "pid" in attrs
-        ):
-            w = int(attrs.get("worker", attrs.get("thread", 0)))
-            rec = workers.setdefault(
-                w, {"pids": set(), "durs_us": [], "busy_us": 0.0}
-            )
-            rec["pids"].add(int(attrs["pid"]))
-            rec["durs_us"].append(float(ev.get("dur_us", 0.0)))
-            rec["busy_us"] += float(ev.get("dur_us", 0.0))
-        elif name == "executor.retry" and ev.get("kind") == "counter":
-            if "thread" in attrs:
-                t = int(attrs["thread"])
-                retries[t] = retries.get(t, 0) + int(ev.get("value", 1))
-    if not workers:
-        return (
-            "<p class=note>No process-backend worker spans in this run "
-            "(thread backend, or observability was off in the parent "
-            "when the chunks ran).</p>"
-        )
-
-    def rank(durs: list[float], q: float) -> float:
-        durs = sorted(durs)
-        idx = max(0, -(-int(q * len(durs)) // 100) - 1)
-        return durs[min(idx, len(durs) - 1)]
-
-    head = (
-        "<tr><th>worker</th><th class=l>pid</th><th>chunks</th>"
-        "<th>busy (ms)</th><th>p50 (ms)</th><th>p99 (ms)</th>"
-        "<th>retries</th></tr>"
-    )
-    body = []
-    for w in sorted(workers):
-        rec = workers[w]
-        pids = ", ".join(str(p) for p in sorted(rec["pids"]))
-        durs = rec["durs_us"]
-        body.append(
-            "<tr>"
-            f"<td>{w}</td><td class=l>{_esc(pids)}</td>"
-            f"<td>{len(durs)}</td>"
-            f"<td>{rec['busy_us'] / 1e3:.3f}</td>"
-            f"<td>{rank(durs, 50) / 1e3:.3f}</td>"
-            f"<td>{rank(durs, 99) / 1e3:.3f}</td>"
-            f"<td>{retries.get(w, 0)}</td></tr>"
-        )
-    return f"<table>{head}{''.join(body)}</table>"
 
 
 def _advisor_section(
@@ -532,12 +353,6 @@ def render_dashboard(
         _correlation_section(rows),
         "<h2>Advisor (predicted vs oracle)</h2>",
         _advisor_section(evs, advisor),
-        "<h2>Per-thread timelines</h2>",
-        _timeline_svg(evs),
-        "<h2>Parallel balance</h2>",
-        _balance_table(evs),
-        "<h2>Workers (process backend)</h2>",
-        _workers_section(evs),
         "<h2>Reliability and SLO alerts</h2>",
         _reliability_section(evs),
     ]

@@ -25,7 +25,6 @@ from repro.machine.topology import MachineSpec, clovertown_8core
 from repro.matrices.collection import realize
 from repro.perf import attribution as perf_attribution
 from repro.perf.attribution import Attribution
-from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
 from repro.telemetry import core as telemetry
 
 #: The paper's thread configurations for Table II: thread count plus
@@ -205,11 +204,15 @@ def run_format_matrix(
     ``convert_cache`` keys the conversion on (matrix, format, kwargs)
     so repeated cells over one matrix encode once; the setup wall time
     actually paid lands in each attribution's ``setup_s``.
+
+    Each configuration runs one traffic census, inside
+    :func:`simulate_spmv`; the attribution folds that same census.
+    Tracing only records: it adds no work to the cell.
     """
     if config.threads_choice:
         configs = resolve_thread_configs(matrix, config, matrix_id)
-    # Work done only for the event log (plan counters, attribution
-    # records) is skipped when only live metrics are on.
+    # Attribution records are for the event log; live metrics alone
+    # skip them.
     tracing = telemetry.get_collector() is not None
     # The cell span is also the live bench.cell.seconds sample, so a
     # scraper watching a long sweep sees throughput and tail cells.
@@ -220,15 +223,6 @@ def run_format_matrix(
         converted = cached_convert(
             matrix, format_name, cache=convert_cache, **format_kwargs
         )
-        from repro.kernels.plan import PLANNABLE_FORMATS, get_plan
-
-        # Build the kernel plan once per cell -- the amortized setup
-        # every iterative caller pays exactly once.  This runs only when
-        # tracing, so the plan.build/hit/miss counters appear in --trace
-        # output.
-        trace_plan = tracing and converted.name in PLANNABLE_FORMATS
-        if trace_plan:
-            get_plan(converted)
         setup_s = time.perf_counter() - setup_t0
         machine = config.scaled_machine()
         if csr_storage is None:
@@ -237,11 +231,8 @@ def run_format_matrix(
         mflops: dict[tuple[int, str], float] = {}
         bounds: dict[tuple[int, str], str] = {}
         attributions: dict[tuple[int, str], Attribution] = {}
-        breakdowns: dict[int, ByteBreakdown] = {}  # per thread count
         for threads, placement in configs:
             key = (threads, placement)
-            if trace_plan:
-                get_plan(converted)  # cache hit, one per configuration
             sim = simulate_spmv(
                 converted,
                 threads,
@@ -252,8 +243,6 @@ def run_format_matrix(
             times[key] = sim.time_s
             mflops[key] = sim.mflops
             bounds[key] = sim.bound
-            if threads not in breakdowns:
-                breakdowns[threads] = bytes_per_iteration(converted, threads)
             att = perf_attribution.attribute_cell(
                 converted,
                 threads=threads,
@@ -264,7 +253,6 @@ def run_format_matrix(
                 matrix_id=matrix_id,
                 sim=sim,
                 csr_storage=csr_storage,
-                breakdown=breakdowns[threads],
                 setup_s=setup_s,
             )
             attributions[key] = att
@@ -303,7 +291,6 @@ def run_set(
     even realized.  The resumed result is identical to an uninterrupted
     run's (the speedup-vs-CSR fill below runs on restored cells too).
     """
-    tracing = telemetry.get_collector() is not None
     log = None
     done: dict[tuple[int, str], MatrixResult] = {}
     if config.checkpoint_path:
@@ -337,14 +324,6 @@ def run_set(
                 # size-reduction figure shares the denominator, so
                 # encode it exactly once.
                 csr_storage = cached_convert(matrix, "csr", cache=cache).storage()
-                if tracing and not any(
-                    f.startswith("csr-du") for f in formats_m
-                ):
-                    # Tracing asks "what structure does this matrix
-                    # have?" even for CSR-only experiments, so record
-                    # the CSR-DU unit census (the encode emits the
-                    # width histogram).
-                    convert(matrix, "csr-du")
             for fmt in formats_m:
                 restored = done.get((mid, fmt))
                 if restored is not None:

@@ -75,6 +75,9 @@ class SimResult:
         Per-thread DRAM traffic per iteration (post-residency).
     resident_fraction:
         Fraction of the total touched working set resident in cache.
+    works:
+        The per-thread traffic census the prediction was solved from
+        (pre-residency), so callers fold bytes without re-analysing.
     """
 
     time_s: float
@@ -83,6 +86,7 @@ class SimResult:
     compute_s: tuple[float, ...]
     traffic_bytes: tuple[float, ...]
     resident_fraction: float
+    works: tuple[ThreadWork, ...]
 
     @property
     def total_traffic(self) -> float:
@@ -279,4 +283,5 @@ def solve_makespan(
         compute_s=tuple(compute_s.tolist()),
         traffic_bytes=tuple(traffic.tolist()),
         resident_fraction=(resident_total / touched_total if touched_total else 1.0),
+        works=tuple(works),
     )

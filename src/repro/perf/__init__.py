@@ -10,7 +10,7 @@ cell, *which* bound the number hit:
   index/value/vector traffic;
 * :mod:`repro.perf.attribution` -- the :class:`Attribution` record:
   FLOP:byte ratio, effective bandwidth, %-of-roofline, per-thread
-  imbalance, compression ratio, kernel-plan hit rates;
+  imbalance, compression ratio, conversion setup time;
 * :mod:`repro.perf.imbalance` -- per-thread busy time, barrier-wait
   time and the nnz-vs-time imbalance ratio, recovered from the
   executor's ``parallel.chunk`` spans in a recorded trace.

@@ -3,17 +3,16 @@
 One record per ``(matrix, format, threads, placement)`` bench cell,
 combining
 
-* the exact byte stream (:mod:`repro.perf.bytes`) -> FLOP:byte ratio
-  and effective GB/s at the cell's measured/predicted time;
+* the exact byte stream (:mod:`repro.perf.bytes`, folded from the
+  simulation's own traffic census) -> FLOP:byte ratio and effective
+  GB/s at the cell's predicted time;
 * the machine model's roofline (:func:`machine_peak_flops` over the
   domain bandwidth) -> attainable MFLOPS and %-of-roofline, with the
   binding constraint;
 * partitioner balance -> static nnz max/mean plus the model's
   per-thread compute-time max/mean;
 * compression accounting -> size ratio vs CSR and speedup vs CSR at
-  the same configuration (filled by the harness when both ran);
-* kernel-plan cache hit/miss counts, read from the active telemetry
-  collector when one is installed.
+  the same configuration (filled by the harness when both ran).
 
 :func:`attribute_cell` is what the bench harness calls;
 :func:`record` re-emits a built record as a ``perf.attribution``
@@ -31,8 +30,7 @@ from repro.formats.base import SparseMatrix, Storage
 from repro.machine.costmodel import CostModel
 from repro.machine.engine import SimResult
 from repro.machine.topology import MachineSpec
-from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
-from repro.telemetry import core as telemetry
+from repro.perf.bytes import breakdown_from_works
 from repro.telemetry.metrics import record_attribution
 
 
@@ -70,17 +68,9 @@ class Attribution:
     time_imbalance: float
     compression_ratio: float
     speedup_vs_csr: float = 0.0
-    plan_hits: int = 0
-    plan_misses: int = 0
-    #: One-time setup cost of the cell: conversion (encode) plus kernel
-    #: plan build, in seconds.  0.0 when the encode was a cache hit.
+    #: One-time setup cost of the cell: the conversion (encode), in
+    #: seconds.  Near 0.0 when the encode was a cache hit.
     setup_s: float = 0.0
-
-    @property
-    def plan_hit_rate(self) -> float:
-        """Fraction of kernel-plan lookups served from the cache."""
-        lookups = self.plan_hits + self.plan_misses
-        return self.plan_hits / lookups if lookups else 0.0
 
     def with_speedup(self, csr_time_s: float) -> "Attribution":
         """A copy with ``speedup_vs_csr`` filled from the CSR baseline."""
@@ -97,17 +87,6 @@ def machine_peak_flops(
     return threads * machine.clock_hz * 2.0 / cost.per_element
 
 
-def _plan_counters(format_name: str) -> tuple[int, int]:
-    """(hits, misses) of the plan cache for *format_name*, if traced."""
-    c = telemetry.get_collector()
-    if c is None:
-        return 0, 0
-    labels = {"format": format_name}
-    hits = c.counters.get(telemetry.metric_key("plan.hit", labels), 0.0)
-    misses = c.counters.get(telemetry.metric_key("plan.miss", labels), 0.0)
-    return int(hits), int(misses)
-
-
 def attribute_cell(
     matrix: SparseMatrix,
     *,
@@ -119,18 +98,16 @@ def attribute_cell(
     sim: SimResult,
     matrix_id: int = -1,
     csr_storage: Storage | None = None,
-    breakdown: ByteBreakdown | None = None,
     setup_s: float = 0.0,
 ) -> Attribution:
     """Build the attribution record for one measured cell.
 
-    ``sim`` supplies the model clock's DRAM traffic, binding constraint
-    and per-thread compute times.  ``breakdown`` lets callers measuring
-    the same matrix at several placements reuse one byte census.
-    ``setup_s`` is the cell's one-time preprocessing cost (encode +
-    plan build) as the harness measured it.
+    ``sim`` supplies the model clock's DRAM traffic, binding constraint,
+    per-thread compute times and the traffic census its byte split is
+    folded from.  ``setup_s`` is the cell's one-time conversion cost as
+    the harness measured it.
     """
-    bd = breakdown if breakdown is not None else bytes_per_iteration(matrix, threads)
+    bd = breakdown_from_works(matrix, sim.works)
     flops = bd.flops
     mflops = flops / time_s / 1e6 if time_s > 0 else 0.0
     effective_gbps = bd.total_bytes / time_s / 1e9 if time_s > 0 else 0.0
@@ -155,7 +132,6 @@ def attribute_cell(
     compression_ratio = (
         storage.ratio_to(csr_storage) if csr_storage is not None else 1.0
     )
-    hits, misses = _plan_counters(matrix.name)
     return Attribution(
         matrix_id=matrix_id,
         format_name=matrix.name,
@@ -179,8 +155,6 @@ def attribute_cell(
         nnz_imbalance=bd.nnz_imbalance,
         time_imbalance=time_imbalance,
         compression_ratio=compression_ratio,
-        plan_hits=hits,
-        plan_misses=misses,
         setup_s=setup_s,
     )
 
@@ -219,8 +193,6 @@ def record(att: Attribution) -> None:
         time_imbalance=att.time_imbalance,
         compression_ratio=att.compression_ratio,
         speedup_vs_csr=att.speedup_vs_csr,
-        plan_hits=att.plan_hits,
-        plan_misses=att.plan_misses,
         setup_s=att.setup_s,
         host_cpus=host["cpus"],
         host_platform=host["platform"],

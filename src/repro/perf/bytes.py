@@ -1,9 +1,9 @@
 """Exact bytes-per-iteration accounting from each format's real layout.
 
-:func:`bytes_per_iteration` reuses the machine model's per-thread
+:func:`breakdown_from_works` folds the machine model's per-thread
 traffic census (:func:`repro.machine.traffic.analyze_threads`, which
 reads the *actual* arrays: ``ctl_offsets`` byte ranges for CSR-DU,
-``val_ind`` item sizes for CSR-VI, ...) and folds it into one job-level
+``val_ind`` item sizes for CSR-VI, ...) into one job-level
 :class:`ByteBreakdown`: how many bytes one steady-state SpMV iteration
 streams, split the way the paper splits storage --
 
@@ -23,9 +23,17 @@ the :class:`~repro.perf.attribution.Attribution` record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.formats.base import SparseMatrix
-from repro.machine.traffic import LINE_SIZE, VALUE_SIZE, analyze_threads
+from repro.machine.traffic import (
+    LINE_SIZE,
+    VALUE_SIZE,
+    ThreadWork,
+    analyze_threads,
+)
 
 #: Array names charged as index (structure) bytes.
 INDEX_ARRAYS = frozenset({"row_ptr", "col_ind", "ctl", "stream"})
@@ -80,16 +88,19 @@ def _full_x_lines_bytes(ncols: int) -> int:
     return lines * LINE_SIZE
 
 
-def bytes_per_iteration(matrix: SparseMatrix, threads: int = 1) -> ByteBreakdown:
-    """Exact per-iteration byte stream of *matrix* across *threads*.
+def breakdown_from_works(
+    matrix: SparseMatrix, works: Sequence[ThreadWork]
+) -> ByteBreakdown:
+    """Fold one per-thread traffic census of *matrix* into a breakdown.
 
     Private arrays sum across threads (each thread streams its own
     slice); the shared ``x`` footprint is capped by the whole vector's
     line-rounded size (threads overlap on shared lines) and
     ``vals_unique`` is counted once -- it is one physical array however
-    many threads read it.
+    many threads read it.  *works* is the census
+    :func:`~repro.machine.traffic.analyze_threads` returns, e.g. the one
+    a :class:`~repro.machine.engine.SimResult` carries.
     """
-    part, works = analyze_threads(matrix, threads)
     arrays: dict[str, int] = {}
     for w in works:
         for name, nbytes in w.private_bytes.items():
@@ -109,13 +120,27 @@ def bytes_per_iteration(matrix: SparseMatrix, threads: int = 1) -> ByteBreakdown
         # A new ThreadWork array name must be classified above, or the
         # index/value/vector split silently undercounts.
         raise ValueError(f"unclassified traffic arrays {sorted(unclassified)}")
+    # RowPartition.imbalance()'s arithmetic over the census's own nnz.
+    nnz_per = np.array([w.nnz for w in works], dtype=np.int64)
+    mean = nnz_per.mean()
     return ByteBreakdown(
-        format_name=works[0].format_name if works else matrix.name,
-        threads=threads,
+        format_name=works[0].format_name,
+        threads=len(works),
         nnz=sum(w.nnz for w in works),
         arrays=arrays,
         index_bytes=index_bytes,
         value_bytes=value_bytes,
         vector_bytes=vector_bytes,
-        nnz_imbalance=part.imbalance() if hasattr(part, "imbalance") else 1.0,
+        nnz_imbalance=float(nnz_per.max() / mean) if mean > 0 else 1.0,
     )
+
+
+def bytes_per_iteration(matrix: SparseMatrix, threads: int = 1) -> ByteBreakdown:
+    """Exact per-iteration byte stream of *matrix* across *threads*.
+
+    Runs its own census; the bench harness folds the one its
+    simulation already ran (:func:`breakdown_from_works`), and tests
+    check that fold against this.
+    """
+    _, works = analyze_threads(matrix, threads)
+    return breakdown_from_works(matrix, works)

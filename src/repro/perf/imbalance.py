@@ -183,48 +183,3 @@ def call_balances(events: Iterable[Any]) -> list[CallBalance]:
 def summarize_parallel(events: Iterable[Any]) -> ParallelReport:
     """Aggregate every multithreaded call found in *events*."""
     return ParallelReport(calls=tuple(call_balances(events)))
-
-
-def format_report(report: ParallelReport) -> str:
-    """Aligned text rendering (the ``profile`` subcommand's appendix)."""
-    lines = [
-        f"parallel calls: {report.ncalls}, "
-        f"mean time imbalance {report.mean_time_imbalance:.3f}, "
-        f"mean nnz-vs-time {report.mean_nnz_vs_time:.3f}, "
-        f"barrier wait {report.total_barrier_wait_us / 1e3:.3f} ms total"
-    ]
-    for i, call in enumerate(report.calls):
-        lines.append(
-            f"  call {i}: {call.dur_us / 1e3:.3f} ms, "
-            f"{len(call.busy_us)} threads, "
-            f"imbalance {call.time_imbalance:.3f}, "
-            f"nnz-vs-time {call.nnz_vs_time:.3f}, "
-            f"wait {call.total_barrier_wait_us / 1e3:.3f} ms"
-        )
-    return "\n".join(lines)
-
-
-def thread_timelines(
-    events: Iterable[Any],
-) -> dict[tuple[int, int], list[tuple[float, float, str]]]:
-    """Span lanes per execution stream: ``{(pid, tid): [(ts_us, dur_us, name)]}``.
-
-    The dashboard's timeline renderer consumes this; every span kind is
-    included so single-threaded phases (encode, simulate) show too.
-    The lane key pairs the ``pid`` attribute (0 for in-process spans)
-    with the OS thread id: fork-pool workers inherit the parent main
-    thread's ident, so ``tid`` alone would fold every worker of a
-    process-backend run into one lane.
-    """
-    lanes: dict[tuple[int, int], list[tuple[float, float, str]]] = {}
-    for ev in _as_dicts(events):
-        if ev["kind"] != "span":
-            continue
-        pid = ev["attrs"].get("pid", 0)
-        pid = pid if isinstance(pid, int) and not isinstance(pid, bool) else 0
-        lanes.setdefault((pid, int(ev["tid"])), []).append(
-            (float(ev["ts_us"]), float(ev["dur_us"]), str(ev["name"]))
-        )
-    for spans in lanes.values():
-        spans.sort()
-    return lanes

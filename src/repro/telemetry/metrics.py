@@ -368,8 +368,6 @@ def record_attribution(
     time_imbalance: float,
     compression_ratio: float,
     speedup_vs_csr: float,
-    plan_hits: int,
-    plan_misses: int,
     setup_s: float = 0.0,
     host_cpus: int = 0,
     host_platform: str = "",
@@ -405,8 +403,6 @@ def record_attribution(
             "time_imbalance": float(time_imbalance),
             "compression_ratio": float(compression_ratio),
             "speedup_vs_csr": float(speedup_vs_csr),
-            "plan_hits": int(plan_hits),
-            "plan_misses": int(plan_misses),
             "setup_s": float(setup_s),
             # Host fingerprint: wall-clock cells from a 1-CPU container
             # and an 8-core workstation must be distinguishable in the

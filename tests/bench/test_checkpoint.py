@@ -151,6 +151,28 @@ class TestResume:
         assert log.load() == {}
         assert log.skipped == len(records)
 
+    def test_v1_layout_skipped(self, config):
+        """A line written before the attribution lost its kernel-plan
+        counters (layout v1, with ``plan_hits``) is skipped, and the
+        resumed run recomputes the cell."""
+        run_set(IDS[:1], FORMATS[:1], config)
+        with open(config.checkpoint_path, "r", encoding="utf-8") as fh:
+            (record,) = [json.loads(line) for line in fh]
+        record["v"] = 1
+        for attr in record["result"]["attributions"].values():
+            attr["plan_hits"] = 3
+            attr["plan_misses"] = 1
+        with open(config.checkpoint_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        log = CheckpointLog(
+            config.checkpoint_path, fingerprint(config, TABLE2_CONFIGS)
+        )
+        assert log.load() == {}
+        assert log.skipped == 1
+        resumed = run_set(IDS[:1], FORMATS[:1], config)
+        fresh = run_set(IDS[:1], FORMATS[:1], ExperimentConfig(scale=SCALE))
+        assert _normalize(resumed) == _normalize(fresh)
+
     def test_later_line_wins(self, config):
         run_set(IDS[:1], FORMATS, config)
         log = CheckpointLog(

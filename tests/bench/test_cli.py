@@ -62,6 +62,27 @@ class TestCLI:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hz", ["0", "-1", "nan", "inf"])
+    def test_stacks_hz_out_of_range_is_usage_error(self, hz, tmp_path, capsys):
+        """The profiler rate is checked by the parser, not by a
+        traceback from the profiler it would start."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "table2",
+                    "--scale",
+                    "0.015625",
+                    "--limit",
+                    "1",
+                    "--stacks-out",
+                    str(tmp_path / "st.txt"),
+                    "--stacks-hz",
+                    hz,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--stacks-hz" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,5 +1,7 @@
 """Tests for the experiment harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import (
@@ -54,6 +56,14 @@ class TestRunFormatMatrix:
         assert csr.scaling((1, "close")) == 1.0
         assert csr.scaling((8, "close")) > 0.5
 
+    @pytest.mark.parametrize("fmt", ["csr", "csr-du", "csr-vi", "csr-du-vi"])
+    def test_one_census_per_configuration(self, matrix, config, fmt, monkeypatch):
+        """The attribution folds the simulation's census instead of
+        running its own: one analyze_threads call per configuration."""
+        calls = _count_calls(monkeypatch)
+        run_format_matrix(matrix, fmt, config, configs=TABLE2_CONFIGS)
+        assert calls["analyze_threads"] == len(TABLE2_CONFIGS)
+
     def test_unpriceable_format_is_a_typed_error(self, matrix, config):
         """The traffic model has no COO layout: the cell fails with a
         MachineModelError naming the format, not a bare error."""
@@ -98,6 +108,87 @@ class TestRunSet:
         )
         assert res.csr_storage == baseline
         assert res.size_reduction > 0.0
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count realize/convert/get_plan/analyze_threads calls, wherever the
+    pipeline binds them."""
+    import repro.bench.harness as harness_mod
+    import repro.formats.conversions as conv_mod
+    import repro.kernels.plan as plan_mod
+    import repro.machine.simulate as simulate_mod
+    import repro.machine.traffic as traffic_mod
+    import repro.perf.bytes as bytes_mod
+
+    calls = {"realize": 0, "convert": 0, "get_plan": 0, "analyze_threads": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    bindings = {
+        "realize": (harness_mod,),
+        "convert": (conv_mod, harness_mod),
+        "get_plan": (plan_mod,),
+        "analyze_threads": (traffic_mod, simulate_mod, bytes_mod),
+    }
+    for name, modules in bindings.items():
+        wrapped = counting(name, getattr(modules[0], name))
+        for mod in modules:
+            monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+class TestTracingAddsNoWork:
+    def test_traced_table3_does_the_same_work(self, monkeypatch):
+        """A collector only records: same calls, same results, and the
+        same attributions except the wall-clock setup time."""
+        import repro.bench.experiments as experiments
+        from repro import telemetry
+
+        def run(traced):
+            captured = []
+            real_run_set = experiments.run_set
+
+            def capturing_run_set(*args, **kwargs):
+                captured.append(real_run_set(*args, **kwargs))
+                return captured[-1]
+
+            with monkeypatch.context() as mp:
+                calls = _count_calls(mp)
+                mp.setattr(experiments, "run_set", capturing_run_set)
+                prev = telemetry.set_collector(
+                    telemetry.Collector() if traced else None
+                )
+                try:
+                    experiments.table3(ExperimentConfig(scale=SCALE), limit=1)
+                finally:
+                    telemetry.set_collector(prev)
+            (results,) = captured
+            return calls, results
+
+        untraced_calls, untraced = run(traced=False)
+        traced_calls, traced = run(traced=True)
+        assert traced_calls == untraced_calls
+        assert untraced_calls["get_plan"] > 0
+        assert set(traced) == set(untraced)
+        for mid, per_fmt in untraced.items():
+            assert set(traced[mid]) == set(per_fmt) == {"csr", "csr-du"}
+            for fmt, want in per_fmt.items():
+                got = traced[mid][fmt]
+                assert got.times == want.times
+                assert got.mflops == want.mflops
+                assert got.bounds == want.bounds
+                assert got.storage == want.storage
+                assert got.csr_storage == want.csr_storage
+                assert set(got.attributions) == set(want.attributions)
+                for key, att in want.attributions.items():
+                    assert dataclasses.replace(
+                        got.attributions[key], setup_s=0.0
+                    ) == dataclasses.replace(att, setup_s=0.0)
 
 
 class TestAggregation:

@@ -92,18 +92,6 @@ class TestAttributeCell:
         assert att.speedup_vs_csr == 0.0  # frozen original untouched
         assert att.with_speedup(0.0) is att
 
-    def test_plan_hit_rate(self, paper_matrix, machine, cost):
-        att = attribute_cell(
-            paper_matrix,
-            threads=1,
-            placement="close",
-            time_s=1e-6,
-            machine=machine,
-            cost_model=cost,
-            sim=simulate_spmv(paper_matrix, 1, machine, cost_model=cost),
-        )
-        assert att.plan_hit_rate == 0.0  # no collector -> no lookups seen
-
 
 class TestTelemetry:
     def test_record_emits_full_payload(
@@ -137,27 +125,6 @@ class TestTelemetry:
             {"format": "csr", "placement": "spread", "threads": 4},
         )
         assert collector.counters[key] == 1
-
-    def test_plan_counters_flow_into_record(
-        self, paper_matrix, machine, cost, collector
-    ):
-        from repro.kernels.plan import get_plan
-
-        du = convert(paper_matrix, "csr-du")
-        get_plan(du)  # miss + build
-        get_plan(du)  # hit
-        att = attribute_cell(
-            du,
-            threads=1,
-            placement="close",
-            time_s=1e-6,
-            machine=machine,
-            cost_model=cost,
-            sim=simulate_spmv(du, 1, machine, cost_model=cost),
-        )
-        assert att.plan_misses == 1
-        assert att.plan_hits == 1
-        assert att.plan_hit_rate == pytest.approx(0.5)
 
 
 class TestHarnessIntegration:

@@ -13,7 +13,12 @@ import pytest
 from repro.errors import MachineModelError
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
-from repro.perf.bytes import bytes_per_iteration
+from repro.machine.costmodel import default_cost_model
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
+from repro.perf.attribution import attribute_cell
+from repro.perf.bytes import breakdown_from_works, bytes_per_iteration
+from tests.conftest import PAPER_DENSE, random_sparse_dense
 
 
 class TestCSRPaperMatrix:
@@ -145,6 +150,53 @@ class TestPaperMatrixCSRDU:
         assert bd.index_bytes == 28
         csr_bd = bytes_per_iteration(paper_matrix, 1)
         assert csr_bd.index_bytes == 92
+
+
+def _with_empty_rows() -> CSRMatrix:
+    """A band, every third row and the last ten rows hold no nonzeros."""
+    dense = random_sparse_dense(
+        80, 96, density=0.1, seed=5, quantize=8, empty_rows=True
+    )
+    dense[::3] = 0.0
+    dense[-10:] = 0.0
+    return CSRMatrix.from_dense(dense)
+
+
+class TestSimulationCensus:
+    """The attribution folds the census the simulation already ran; the
+    fold must equal the standalone byte census exactly."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("fmt", ["csr", "csr-du", "csr-vi", "csr-du-vi"])
+    @pytest.mark.parametrize("which", ["paper", "empty-rows"])
+    def test_sim_works_fold_equals_bytes_per_iteration(self, which, fmt, threads):
+        base = (
+            CSRMatrix.from_dense(PAPER_DENSE)
+            if which == "paper"
+            else _with_empty_rows()
+        )
+        matrix = convert(base, fmt)
+        machine, cost = clovertown_8core(), default_cost_model()
+        sim = simulate_spmv(matrix, threads, machine, cost_model=cost)
+        want = bytes_per_iteration(matrix, threads)
+        assert breakdown_from_works(matrix, sim.works) == want
+        att = attribute_cell(
+            matrix,
+            threads=threads,
+            placement="close",
+            time_s=sim.time_s,
+            machine=machine,
+            cost_model=cost,
+            sim=sim,
+        )
+        assert att.bytes_per_iter == want.total_bytes
+        assert (att.index_bytes, att.value_bytes, att.vector_bytes) == (
+            want.index_bytes,
+            want.value_bytes,
+            want.vector_bytes,
+        )
+        assert att.nnz_imbalance == want.nnz_imbalance
+        assert att.flops == want.flops
 
 
 class TestErrors:

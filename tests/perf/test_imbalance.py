@@ -7,12 +7,7 @@ import pytest
 
 from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
-from repro.perf.imbalance import (
-    call_balances,
-    format_report,
-    summarize_parallel,
-    thread_timelines,
-)
+from repro.perf.imbalance import call_balances, summarize_parallel
 from tests.conftest import random_sparse_dense
 
 
@@ -73,53 +68,12 @@ class TestSyntheticTrace:
         report = summarize_parallel(events)
         assert report.ncalls == 1
         assert report.mean_time_imbalance == pytest.approx(80 / 60)
-        text = format_report(report)
-        assert "parallel calls: 1" in text
-        assert "imbalance" in text
 
     def test_empty_trace(self):
         report = summarize_parallel([])
         assert report.ncalls == 0
         assert report.mean_time_imbalance == 1.0
         assert report.mean_nnz_vs_time == 1.0
-
-
-class TestThreadTimelines:
-    def test_lanes_keyed_by_tid(self):
-        events = [
-            _span("parallel.chunk", 5, 10, tid=3),
-            _span("parallel.chunk", 1, 2, tid=3),
-            _span("parallel.spmv", 0, 20, tid=2),
-            {
-                "kind": "counter",
-                "name": "c",
-                "ts_us": 0.0,
-                "dur_us": 0.0,
-                "value": 1.0,
-                "thread": "m",
-                "tid": 3,
-                "depth": 0,
-                "attrs": {},
-            },
-        ]
-        lanes = thread_timelines(events)
-        assert set(lanes) == {(0, 2), (0, 3)}
-        assert lanes[(0, 3)] == [
-            (1.0, 2.0, "parallel.chunk"),
-            (5.0, 10.0, "parallel.chunk"),
-        ]
-
-    def test_worker_pid_gets_own_lane(self):
-        events = [
-            _span("parallel.chunk", 1, 4, tid=3, pid=4242, worker=1),
-            _span("parallel.chunk", 1, 4, tid=3),
-            _span("parallel.spmv", 0, 10, tid=3),
-        ]
-        lanes = thread_timelines(events)
-        # The fork-pool worker shares the parent's tid; the pid attr
-        # keeps it in a separate lane.
-        assert set(lanes) == {(0, 3), (4242, 3)}
-        assert lanes[(4242, 3)] == [(1.0, 4.0, "parallel.chunk")]
 
 
 class TestRealExecutorTrace:

@@ -1,6 +1,6 @@
 """Telemetry smoke check: run a tiny traced benchmark, validate the trace.
 
-Runs ``python -m repro.bench table2`` at a reduced scale with ``--trace``
+Runs ``python -m repro.bench table3`` at a reduced scale with ``--trace``
 and checks that
 
 * every emitted JSONL event conforms to the schema
@@ -40,7 +40,10 @@ from repro.errors import TelemetryError
 from repro.telemetry.export import read_jsonl, validate_event
 from repro.telemetry.metrics import KNOWN_EVENTS, VOCABULARY
 
-#: Event names a traced table2 run must contain to be considered healthy.
+#: Event names a traced table3 run must contain to be considered healthy.
+#: The run builds each CSR-DU cell's kernel plan once, so it records
+#: ``plan.build``/``plan.miss`` but no ``plan.hit``; the repeated calls
+#: of :func:`check_parallel_chunks` require that one.
 REQUIRED_EVENTS = frozenset(
     {
         "bench.matrix",
@@ -50,7 +53,6 @@ REQUIRED_EVENTS = frozenset(
         "encode.batched",
         "encode.csr_du.units",
         "plan.build",
-        "plan.hit",
         "plan.miss",
         "partition.nnz",
         "sim.spmv",
@@ -104,6 +106,8 @@ def check_parallel_chunks(nthreads: int = 4, calls: int = 2) -> int:
     clock and never executes :class:`~repro.parallel.executor.ParallelSpMV`),
     so the ``parallel.chunk`` instrumentation is exercised end to end:
     schema, payload keys, nnz census adding up, and distinct threads.
+    Its repeated CSR-DU calls must also be served from the kernel-plan
+    cache (``plan.hit``).
     """
     import numpy as np
 
@@ -137,6 +141,12 @@ def check_parallel_chunks(nthreads: int = 4, calls: int = 2) -> int:
         print(
             f"smoke_trace: expected {nthreads * calls} parallel.chunk spans, "
             f"got {len(chunks)}",
+            file=sys.stderr,
+        )
+        return 1
+    if not any(e["name"] == "plan.hit" for e in events):
+        print(
+            "smoke_trace: repeated CSR-DU calls recorded no plan.hit",
             file=sys.stderr,
         )
         return 1
@@ -813,7 +823,7 @@ def run(
     scale: float = 0.03125,
     limit: int = 2,
     path: str | None = None,
-    experiment: str = "table2",
+    experiment: str = "table3",
     chrome_out: str | None = None,
 ) -> int:
     """Run one traced experiment and validate the trace; 0 on success."""
@@ -923,7 +933,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.03125)
     parser.add_argument("--limit", type=int, default=2)
-    parser.add_argument("--experiment", type=str, default="table2")
+    parser.add_argument("--experiment", type=str, default="table3")
     parser.add_argument(
         "--trace", type=str, default=None, help="keep the trace at this path"
     )
