@@ -27,7 +27,10 @@ class COOMatrix(SparseMatrix):
 
     Construction canonicalizes: entries are sorted row-major and
     duplicate coordinates are summed (use ``sum_duplicates=False`` to
-    forbid duplicates instead, raising on any).
+    forbid duplicates instead, raising on any).  The order comes from
+    one stable argsort of the packed int64 key ``row << 32 | col``, so
+    duplicates are summed onto their first occurrence in input order
+    and already-sorted input (timsort) costs linear time.
     """
 
     name = "coo"
@@ -52,8 +55,9 @@ class COOMatrix(SparseMatrix):
             )
         check_in_range(rows, self.nrows, "rows")
         check_in_range(cols, self.ncols, "cols")
-        # Canonical order: row-major, then by column.
-        order = np.lexsort((cols, rows))
+        # Canonical order: row-major, then by column.  Both indices are
+        # non-negative int32 here, so the packed key fits int64.
+        order = np.argsort((rows.astype(np.int64) << 32) | cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         if rows.size:
             dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))

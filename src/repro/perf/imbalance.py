@@ -64,36 +64,12 @@ class CallBalance:
         nnz_imb = self.nnz_imbalance
         return self.time_imbalance / nnz_imb if nnz_imb > 0 else 1.0
 
-    @property
-    def total_barrier_wait_us(self) -> float:
-        return sum(self.barrier_wait_us.values())
-
 
 @dataclass(frozen=True)
 class ParallelReport:
     """Aggregate over every multithreaded call in a trace."""
 
     calls: tuple[CallBalance, ...]
-
-    @property
-    def ncalls(self) -> int:
-        return len(self.calls)
-
-    @property
-    def mean_time_imbalance(self) -> float:
-        if not self.calls:
-            return 1.0
-        return sum(c.time_imbalance for c in self.calls) / len(self.calls)
-
-    @property
-    def mean_nnz_vs_time(self) -> float:
-        if not self.calls:
-            return 1.0
-        return sum(c.nnz_vs_time for c in self.calls) / len(self.calls)
-
-    @property
-    def total_barrier_wait_us(self) -> float:
-        return sum(c.total_barrier_wait_us for c in self.calls)
 
 
 def _is_abandoned(chunk: dict, abandons: list[dict]) -> bool:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import COOMatrix
+from repro.formats import COOMatrix, CSRMatrix
 
 from tests.conftest import random_sparse_dense
 
@@ -108,3 +110,74 @@ class TestOperations:
     def test_from_dense_rejects_1d(self):
         with pytest.raises(FormatError):
             COOMatrix.from_dense(np.ones(4))
+
+
+def _lexsort_oracle(rows, cols, values):
+    """Canonical COO by ``np.lexsort``, duplicates summed left to right."""
+    order = np.lexsort((cols, rows))
+    out_r, out_c, out_v = [], [], []
+    for r, c, v in zip(rows[order].tolist(), cols[order].tolist(), values[order].tolist()):
+        if out_r and out_r[-1] == r and out_c[-1] == c:
+            out_v[-1] += v
+        else:
+            out_r.append(r)
+            out_c.append(c)
+            out_v.append(0.0 + v)
+    return np.array(out_r), np.array(out_c), np.array(out_v)
+
+
+@st.composite
+def duplicate_heavy_coo(draw):
+    """Few distinct coordinates, values whose summation order matters."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 30)))
+    rows = rng.integers(0, nrows, size=n, dtype=np.int32)
+    cols = rng.integers(0, ncols, size=n, dtype=np.int32)
+    values = rng.choice(np.array([1e16, 1.0, -1e16, 0.5, -0.0, 3.0]), size=n)
+    return nrows, ncols, rows, cols, values
+
+
+class TestCanonicalOrder:
+    """The packed-key stable sort is pinned to the ``np.lexsort`` order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(duplicate_heavy_coo())
+    def test_matches_lexsort_oracle(self, case):
+        nrows, ncols, rows, cols, values = case
+        coo = COOMatrix(nrows, ncols, rows, cols, values)
+        exp_rows, exp_cols, exp_values = _lexsort_oracle(rows, cols, values)
+        assert coo.rows.tolist() == exp_rows.tolist()
+        assert coo.cols.tolist() == exp_cols.tolist()
+        assert np.array_equal(coo.values, exp_values)
+
+    def test_summation_follows_input_order(self):
+        # (1e16 + 1.0) - 1e16 == 0.0, but (1e16 - 1e16) + 1.0 == 1.0.
+        rows = np.zeros(3, dtype=np.int32)
+        cols = np.zeros(3, dtype=np.int32)
+        coo = COOMatrix(1, 1, rows, cols, np.array([1e16, 1.0, -1e16]))
+        assert coo.values.tolist() == [0.0]
+        coo = COOMatrix(1, 1, rows, cols, np.array([1e16, -1e16, 1.0]))
+        assert coo.values.tolist() == [1.0]
+
+    def test_indices_near_int32_max(self):
+        top = np.iinfo(np.int32).max
+        rows = np.array([top - 1, 0, top - 1, 5, top - 1, 0], dtype=np.int32)
+        cols = np.array([top - 1, top - 1, 0, 5, top - 2, 0], dtype=np.int32)
+        values = np.arange(1.0, 7.0)
+        coo = COOMatrix(top, top, rows, cols, values)
+        assert coo.rows.tolist() == [0, 0, 5, top - 1, top - 1, top - 1]
+        assert coo.cols.tolist() == [0, top - 1, 5, 0, top - 2, top - 1]
+        assert coo.values.tolist() == [6.0, 2.0, 4.0, 3.0, 5.0, 1.0]
+
+    def test_presorted_round_trip_unchanged(self):
+        csr = CSRMatrix.from_dense(random_sparse_dense(30, 25, seed=11))
+        coo = csr.to_coo()
+        again = COOMatrix(coo.nrows, coo.ncols, coo.rows, coo.cols, coo.values)
+        assert np.array_equal(coo.rows, csr.row_of_entry())
+        assert np.array_equal(coo.cols, csr.col_ind)
+        assert np.array_equal(coo.values, csr.values)
+        assert np.array_equal(again.rows, coo.rows)
+        assert np.array_equal(again.cols, coo.cols)
+        assert np.array_equal(again.values, coo.values)

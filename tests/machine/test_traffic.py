@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MachineModelError
 from repro.formats import (
@@ -11,7 +13,7 @@ from repro.formats import (
     CSRVIMatrix,
     DCSRMatrix,
 )
-from repro.machine.traffic import LINE_SIZE, analyze_threads
+from repro.machine.traffic import LINE_SIZE, _distinct_cols_bytes, analyze_threads
 
 from tests.conftest import random_sparse_dense
 
@@ -112,3 +114,29 @@ class TestValidation:
         coo = COOMatrix.from_dense(np.eye(3))
         with pytest.raises(MachineModelError):
             analyze_threads(coo, 1)
+
+
+@st.composite
+def thread_cols(draw):
+    """Random int32 column indices of one thread over ``ncols`` columns."""
+    ncols = draw(st.integers(min_value=1, max_value=1 << 20))
+    n = draw(st.integers(min_value=0, max_value=200))
+    seed = draw(st.integers(0, 1 << 30))
+    cols = np.random.default_rng(seed).integers(0, ncols, size=n, dtype=np.int32)
+    if draw(st.booleans()) and n:
+        cols[draw(st.integers(0, n - 1))] = ncols - 1
+    return cols
+
+
+class TestDistinctLines:
+    """The mask count is pinned to ``np.unique``'s line count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(thread_cols())
+    @example(np.array([], dtype=np.int32))
+    @example(np.array([7], dtype=np.int32))
+    @example(np.full(50, 12345, dtype=np.int32))
+    @example(np.array([0, (1 << 20) - 1], dtype=np.int32))
+    def test_equals_unique_line_count(self, cols):
+        expected = np.unique(cols.astype(np.int64) // 8).size * LINE_SIZE
+        assert _distinct_cols_bytes(cols) == expected
