@@ -36,7 +36,6 @@ from repro.bench.sweep import (
     bandwidth_sweep,
     cache_sweep,
     format_sweep_table,
-    thread_sweep,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "SweepPoint",
     "bandwidth_sweep",
     "cache_sweep",
-    "thread_sweep",
     "format_sweep_table",
     "compare_runs",
     "format_comparison",

@@ -266,6 +266,21 @@ class AblationRow:
     time_1t: float
 
 
+def _ablation_row(
+    matrix_id: int, label: str, m, machine, config: ExperimentConfig
+) -> AblationRow:
+    """One ablation row: *m*'s storage and its modelled 8- and 1-thread time."""
+    st = m.storage()
+    return AblationRow(
+        matrix_id=matrix_id,
+        label=label,
+        index_bytes=st.index_bytes,
+        total_bytes=st.total_bytes,
+        time_8t=simulate_spmv(m, 8, machine, cost_model=config.cost_model).time_s,
+        time_1t=simulate_spmv(m, 1, machine, cost_model=config.cost_model).time_s,
+    )
+
+
 def ablation_unit_policy(
     config: ExperimentConfig | None = None, *, ids: tuple[int, ...] = (55, 69, 84)
 ) -> list[AblationRow]:
@@ -277,16 +292,7 @@ def ablation_unit_policy(
         matrix = realize(mid, scale=config.scale)
         for policy in ("greedy", "aligned"):
             du = convert(matrix, "csr-du", policy=policy)
-            rows.append(
-                AblationRow(
-                    matrix_id=mid,
-                    label=f"csr-du/{policy}",
-                    index_bytes=du.storage().index_bytes,
-                    total_bytes=du.storage().total_bytes,
-                    time_8t=simulate_spmv(du, 8, machine, cost_model=config.cost_model).time_s,
-                    time_1t=simulate_spmv(du, 1, machine, cost_model=config.cost_model).time_s,
-                )
-            )
+            rows.append(_ablation_row(mid, f"csr-du/{policy}", du, machine, config))
     return rows
 
 
@@ -301,16 +307,7 @@ def ablation_dcsr(
         matrix = realize(mid, scale=config.scale)
         for fmt in ("csr-du", "dcsr", "csr"):
             m = convert(matrix, fmt)
-            rows.append(
-                AblationRow(
-                    matrix_id=mid,
-                    label=fmt,
-                    index_bytes=m.storage().index_bytes,
-                    total_bytes=m.storage().total_bytes,
-                    time_8t=simulate_spmv(m, 8, machine, cost_model=config.cost_model).time_s,
-                    time_1t=simulate_spmv(m, 1, machine, cost_model=config.cost_model).time_s,
-                )
-            )
+            rows.append(_ablation_row(mid, fmt, m, machine, config))
     return rows
 
 
@@ -330,16 +327,7 @@ def ablation_index_width(
                 ("csr/16-bit", csr.with_index_dtype(np.int16, cols_only=True))
             )
         for label, m in variants:
-            rows.append(
-                AblationRow(
-                    matrix_id=mid,
-                    label=label,
-                    index_bytes=m.storage().index_bytes,
-                    total_bytes=m.storage().total_bytes,
-                    time_8t=simulate_spmv(m, 8, machine, cost_model=config.cost_model).time_s,
-                    time_1t=simulate_spmv(m, 1, machine, cost_model=config.cost_model).time_s,
-                )
-            )
+            rows.append(_ablation_row(mid, label, m, machine, config))
     return rows
 
 
@@ -378,16 +366,7 @@ def ablation_du_vi(
         matrix = realize(mid, scale=config.scale)
         for fmt in ("csr", "csr-du", "csr-vi", "csr-du-vi"):
             m = convert(matrix, fmt)
-            rows.append(
-                AblationRow(
-                    matrix_id=mid,
-                    label=fmt,
-                    index_bytes=m.storage().index_bytes,
-                    total_bytes=m.storage().total_bytes,
-                    time_8t=simulate_spmv(m, 8, machine, cost_model=config.cost_model).time_s,
-                    time_1t=simulate_spmv(m, 1, machine, cost_model=config.cost_model).time_s,
-                )
-            )
+            rows.append(_ablation_row(mid, fmt, m, machine, config))
     return rows
 
 
@@ -415,16 +394,8 @@ def ablation_seq_units(
         matrix = to_csr(dense_band(n, k))
         for policy in ("greedy", "seq"):
             du = convert(matrix, "csr-du", policy=policy)
-            rows.append(
-                AblationRow(
-                    matrix_id=k,  # labeled by half bandwidth
-                    label=f"csr-du/{policy}",
-                    index_bytes=du.storage().index_bytes,
-                    total_bytes=du.storage().total_bytes,
-                    time_8t=simulate_spmv(du, 8, machine, cost_model=config.cost_model).time_s,
-                    time_1t=simulate_spmv(du, 1, machine, cost_model=config.cost_model).time_s,
-                )
-            )
+            # The row's matrix_id is the half bandwidth.
+            rows.append(_ablation_row(k, f"csr-du/{policy}", du, machine, config))
     return rows
 
 
@@ -516,16 +487,8 @@ def ablation_rcm(
     rows = []
     for label, m in (("scrambled", scrambled), ("rcm", reordered)):
         du = convert(m, "csr-du")
-        rows.append(
-            AblationRow(
-                matrix_id=side,  # labeled by grid side
-                label=f"csr-du/{label}",
-                index_bytes=du.storage().index_bytes,
-                total_bytes=du.storage().total_bytes,
-                time_8t=simulate_spmv(du, 8, machine, cost_model=config.cost_model).time_s,
-                time_1t=simulate_spmv(du, 1, machine, cost_model=config.cost_model).time_s,
-            )
-        )
+        # The row's matrix_id is the grid side.
+        rows.append(_ablation_row(side, f"csr-du/{label}", du, machine, config))
     return rows
 
 

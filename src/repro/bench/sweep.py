@@ -10,8 +10,7 @@ the machine model:
   vanish (bandwidth-rich): the compression *crossover*;
 * :func:`cache_sweep` -- scale the L2 capacity and watch a matrix
   migrate between the ML (streaming) and MS (resident) regimes, the
-  boundary the paper draws at 4xL2 + 1 MB;
-* :func:`thread_sweep` -- formats x thread counts in one grid.
+  boundary the paper draws at 4xL2 + 1 MB.
 
 Each returns plain rows ready for the report/CSV layer.
 """
@@ -117,36 +116,6 @@ def cache_sweep(
                 bound=res.bound,
             )
         )
-    return points
-
-
-def thread_sweep(
-    matrix: SparseMatrix,
-    *,
-    thread_counts: tuple[int, ...] = (1, 2, 4, 8),
-    formats: tuple[str, ...] = ("csr", "csr-du", "csr-vi", "csr-du-vi"),
-    machine: MachineSpec | None = None,
-    cost_model: CostModel | None = None,
-) -> list[SweepPoint]:
-    """Format x thread grid (the figures' underlying data)."""
-    machine = machine or clovertown_8core()
-    cost_model = cost_model or default_cost_model()
-    points = []
-    for fmt in formats:
-        converted = convert(matrix, fmt)
-        for t in thread_counts:
-            res = simulate_spmv(converted, t, machine, cost_model=cost_model)
-            points.append(
-                SweepPoint(
-                    knob="threads",
-                    knob_value=float(t),
-                    format_name=fmt,
-                    threads=t,
-                    time_s=res.time_s,
-                    mflops=res.mflops,
-                    bound=res.bound,
-                )
-            )
     return points
 
 

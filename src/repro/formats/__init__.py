@@ -21,7 +21,6 @@ from repro.formats.base import (
     SparseMatrix,
     Storage,
     available_formats,
-    csr_working_set_bytes,
     get_format,
     register_format,
     working_set_bytes,
@@ -38,7 +37,6 @@ __all__ = [
     "SparseMatrix",
     "Storage",
     "available_formats",
-    "csr_working_set_bytes",
     "get_format",
     "register_format",
     "working_set_bytes",

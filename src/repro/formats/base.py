@@ -55,14 +55,12 @@ class Storage:
 def check_out_aliasing(out: np.ndarray, *sources: np.ndarray) -> np.ndarray:
     """Reject an ``out=`` buffer that shares memory with an input.
 
-    The multi-vector path writes ``out`` column by column while still
-    reading its input, and the executors write ``y`` while every chunk
-    still reads ``x``, so an aliased buffer silently corrupts the
-    answer mid-computation.
+    The executors write ``y`` while every chunk still reads ``x``, so an
+    aliased buffer silently corrupts the answer mid-computation.
     The contract is *no overlap*; violations raise
     :class:`~repro.errors.IntegrityError` instead of returning wrong
     numbers.  (``spmv(out=)`` on the plannable formats computes every
-    product before writing and needs no check — this guards the looped
+    product before writing and needs no check — this guards the chunked
     paths.)
     """
     from repro.errors import IntegrityError
@@ -71,8 +69,8 @@ def check_out_aliasing(out: np.ndarray, *sources: np.ndarray) -> np.ndarray:
         if np.may_share_memory(out, src):
             raise IntegrityError(
                 "out= buffer shares memory with an input array; the "
-                "looped multi-vector and executor paths require a disjoint "
-                "output (pass a fresh buffer or copy the input)"
+                "executor paths require a disjoint output (pass a fresh "
+                "buffer or copy the input)"
             )
     return out
 
@@ -122,25 +120,6 @@ class SparseMatrix(abc.ABC):
     @abc.abstractmethod
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y = A x`` with this format's default (vectorized) kernel."""
-
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``Y = A X`` for ``k`` right-hand sides (the columns of *X*).
-
-        The default loops :meth:`spmv` over the columns; the plannable
-        formats (csr, csr-vi, csr-du, csr-du-vi) override it with a
-        multi-vector kernel that decodes the structure once per call
-        and amortizes it across all right-hand sides.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.ncols:
-            raise FormatError(f"X has shape {X.shape}, expected ({self.ncols}, k)")
-        if out is None:
-            out = np.empty((self.nrows, X.shape[1]), dtype=np.float64)
-        else:
-            check_out_aliasing(out, X)
-        for j in range(X.shape[1]):
-            self.spmv(X[:, j], out=out[:, j])
-        return out
 
     # -- integrity -----------------------------------------------------
     def verify(self, *, value_policy: str = "finite") -> "SparseMatrix":
@@ -198,18 +177,6 @@ def working_set_bytes(
     """
     st = matrix.storage()
     return st.total_bytes + (matrix.nrows + matrix.ncols) * value_size
-
-
-def csr_working_set_bytes(
-    nrows: int, ncols: int, nnz: int, *, index_size: int = 4, value_size: int = 8
-) -> int:
-    """Closed-form working set of plain CSR (the paper's ws formula).
-
-    Used by the matrix catalog to size synthetic matrices without
-    materializing them first.
-    """
-    csr = nnz * (index_size + value_size) + (nrows + 1) * index_size
-    return csr + (nrows + ncols) * value_size
 
 
 # ---------------------------------------------------------------------------

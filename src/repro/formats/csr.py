@@ -113,13 +113,6 @@ class CSRMatrix(SparseMatrix):
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.values, x, out=out)
 
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Multi-vector ``Y = A X``: one gather/reduce pass for all columns."""
-        from repro.kernels.plan import _check_xmat, get_plan
-
-        X = _check_xmat(X, self.ncols)
-        return get_plan(self).spmm(self.values, X, out=out)
-
     # -- helpers ----------------------------------------------------------
     def row_lengths(self) -> np.ndarray:
         """Nonzeros per row."""

@@ -79,13 +79,6 @@ class CSRDUVIMatrix(SparseMatrix):
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.vals_unique[self.val_ind], x, out=out)
 
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Multi-vector ``Y = A X``: one ctl decode and one value gather."""
-        from repro.kernels.plan import _check_xmat, get_plan
-
-        X = _check_xmat(X, self.ncols)
-        return get_plan(self).spmm(self.vals_unique[self.val_ind], X, out=out)
-
     @classmethod
     def from_csr(
         cls,

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.compress.unique import TTU_THRESHOLD, UniqueValues, unique_index_values
+from repro.compress.unique import UniqueValues, unique_index_values
 from repro.errors import FormatError
 from repro.formats.base import SparseMatrix, Storage, register_format
 from repro.formats.csr import CSRMatrix
@@ -83,10 +83,6 @@ class CSRVIMatrix(SparseMatrix):
         """Total-to-unique ratio (the paper's applicability criterion)."""
         return self.nnz / self.unique_count if self.unique_count else 0.0
 
-    def is_profitable(self, threshold: float = TTU_THRESHOLD) -> bool:
-        """The paper's ``ttu > 5`` selection rule."""
-        return self.ttu > threshold
-
     def storage(self) -> Storage:
         return Storage(
             index_bytes=self.row_ptr.nbytes + self.col_ind.nbytes,
@@ -112,13 +108,6 @@ class CSRVIMatrix(SparseMatrix):
 
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.vals_unique[self.val_ind], x, out=out)
-
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Multi-vector ``Y = A X`` sharing one value gather per call."""
-        from repro.kernels.plan import _check_xmat, get_plan
-
-        X = _check_xmat(X, self.ncols)
-        return get_plan(self).spmm(self.vals_unique[self.val_ind], X, out=out)
 
     # -- conversions ----------------------------------------------------------
     @classmethod

@@ -6,7 +6,7 @@ iteration would otherwise recompute -- the ``int64`` cast of CSR's
 and (for CSR-DU) the variable-length unit-header parse of the ctl
 stream.  :func:`get_plan` builds the plan on first use, caches it on
 the matrix object, and hands the cached instance back on every later
-call; the formats' ``spmv``/``spmm`` methods and
+call; the formats' ``spmv`` methods and
 :class:`~repro.parallel.executor.ParallelSpMV` share it.
 
 Two plan families cover the four plannable formats:
@@ -57,13 +57,6 @@ def _check_x(x, ncols: int) -> np.ndarray:
     return x
 
 
-def _check_xmat(X, ncols: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != ncols:
-        raise FormatError(f"X has shape {X.shape}, expected ({ncols}, k)")
-    return X
-
-
 class CSRPlan:
     """Plan for row-pointer formats (CSR, CSR-VI).
 
@@ -86,14 +79,6 @@ class CSRPlan:
 
     def spmv(self, values, x, out=None):
         products = values * x[self.col_ind]
-        return self.reducer.reduce(products, out=out)
-
-    def spmm(self, values, X, out=None):
-        # All products materialize before `out` is written, so this path
-        # is safe even when `out` aliases X (copy semantics); the looped
-        # base-class spmm rejects aliasing instead (see
-        # formats.base.check_out_aliasing).
-        products = values[:, None] * X[self.col_ind]
         return self.reducer.reduce(products, out=out)
 
 
@@ -149,20 +134,6 @@ class CSRDUPlan:
         # One scalar add per nonzero, in element order == the reference
         # kernel's accumulation order, bit for bit.
         np.add.at(out, self.elem_rows, products)
-        return out
-
-    def spmm(self, values, X, out=None):
-        cols = self.decoder.columns()
-        # As in CSRPlan.spmm: products materialize first, so an out=
-        # buffer aliasing X still gets the right answer.
-        products = values[:, None] * X[cols]
-        if out is None:
-            out = np.empty((self.nrows, X.shape[1]), dtype=np.float64)
-        out[...] = 0.0
-        # Column-at-a-time keeps each right-hand side's accumulation
-        # order identical to spmv's; the decode above is shared.
-        for j in range(X.shape[1]):
-            np.add.at(out[:, j], self.elem_rows, products[:, j])
         return out
 
 

@@ -13,7 +13,6 @@ from repro.machine.topology import (
     clovertown_8core,
     place_threads,
     smp_machine,
-    woodcrest_4core,
 )
 from repro.machine.cache import LRUCache
 from repro.machine.costmodel import CostModel, KernelCost, default_cost_model
@@ -26,7 +25,6 @@ __all__ = [
     "Core",
     "MachineSpec",
     "clovertown_8core",
-    "woodcrest_4core",
     "smp_machine",
     "place_threads",
     "LRUCache",

@@ -28,14 +28,6 @@ class CacheStats:
     def misses(self) -> int:
         return self.accesses - self.hits
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate
-
 
 class LRUCache:
     """Set-associative cache with true LRU replacement.

@@ -141,9 +141,6 @@ class MachineSpec:
             out.setdefault(c.package_id, []).append(c.core_id)
         return out
 
-    def total_l2_bytes(self) -> int:
-        return self.l2_bytes * len(self.dies())
-
     # -- derived machines --------------------------------------------------
     def scaled(self, factor: float) -> "MachineSpec":
         """Cache capacities scaled by *factor* (bandwidths, clock kept).
@@ -187,32 +184,6 @@ def clovertown_8core() -> MachineSpec:
         mem_bw=6.3e9,
         l2_core_bw=1.1e10,
         l2_die_bw=1.5e10,
-        cache_effectiveness=0.87,
-        residency_exponent=2.5,
-        overlap=0.9,
-        x_reload=5.7,
-    )
-
-
-def woodcrest_4core() -> MachineSpec:
-    """A 2-package Woodcrest system (the CF'08 companion's machine)."""
-    cores = tuple(
-        Core(core_id=i, die_id=i // 2, package_id=i // 2) for i in range(4)
-    )
-    return MachineSpec(
-        name="woodcrest-4c",
-        clock_hz=2.0e9,
-        cores=cores,
-        l1_bytes=32 * 1024,
-        l2_bytes=4 * 1024 * 1024,
-        l2_assoc=16,
-        line_bytes=64,
-        core_bw=4.2e9,
-        die_bw=4.4e9,
-        fsb_bw=5.0e9,
-        mem_bw=6.6e9,
-        l2_core_bw=1.2e10,
-        l2_die_bw=1.6e10,
         cache_effectiveness=0.87,
         residency_exponent=2.5,
         overlap=0.9,

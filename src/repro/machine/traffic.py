@@ -58,10 +58,6 @@ class ThreadWork:
     commands: int = 0
 
     @property
-    def private_total(self) -> int:
-        return sum(self.private_bytes.values())
-
-    @property
     def flops(self) -> int:
         """Useful floating-point operations (2 per original nonzero)."""
         return 2 * self.nnz

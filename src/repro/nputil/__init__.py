@@ -4,16 +4,12 @@ from repro.nputil.segops import (
     SegmentedReducer,
     segment_ids_from_offsets,
     segment_lengths,
-    segmented_cumsum,
     segmented_reduce,
-    first_in_segment_mask,
 )
 
 __all__ = [
     "SegmentedReducer",
     "segment_ids_from_offsets",
     "segment_lengths",
-    "segmented_cumsum",
     "segmented_reduce",
-    "first_in_segment_mask",
 ]

@@ -6,12 +6,12 @@ array ``off`` of length ``nseg + 1`` with ``off[0] == 0``,
 ``[off[s], off[s+1])``.  Empty segments are allowed everywhere -- sparse
 matrices have empty rows, and every helper here is tested against them.
 
-These primitives are the substrate of the vectorized SpMV kernels:
-
-* CSR's row reduction is :func:`segmented_reduce` over ``row_ptr``;
-* CSR-DU's on-the-fly delta decoding is :func:`segmented_cumsum` over the
-  unit boundaries (each unit's column indices are the running sum of its
-  deltas, restarting at the unit's initial column).
+These primitives are the substrate of the vectorized SpMV kernels: the
+CSR and CSR-VI plans reduce rows with a :class:`SegmentedReducer` over
+``row_ptr``, and DCSR's kernel calls :func:`segmented_reduce` over the
+row pointer its command stream decodes to.  (CSR-DU's delta decoding is
+not segmented here: :class:`~repro.compress.unit_table.BatchedColumnDecoder`
+does it.)
 """
 
 from __future__ import annotations
@@ -48,46 +48,6 @@ def segment_ids_from_offsets(offsets: np.ndarray, n: int) -> np.ndarray:
     offsets = _check_offsets(offsets, n)
     nseg = offsets.size - 1
     return np.repeat(np.arange(nseg, dtype=np.intp), segment_lengths(offsets))
-
-
-def first_in_segment_mask(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask marking the first element of each non-empty segment."""
-    offsets = _check_offsets(offsets, n)
-    mask = np.zeros(n, dtype=bool)
-    starts = np.asarray(offsets[:-1])
-    lens = segment_lengths(offsets)
-    mask[starts[lens > 0]] = True
-    return mask
-
-
-def segmented_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Inclusive cumulative sum restarting at each segment boundary.
-
-    >>> segmented_cumsum(np.array([1, 2, 3, 4]), np.array([0, 2, 4])).tolist()
-    [1, 3, 3, 7]
-
-    Implemented with the standard "global cumsum minus per-segment base"
-    trick, so it is a handful of vectorized passes regardless of how many
-    segments there are.
-    """
-    values = np.asarray(values)
-    offsets = _check_offsets(offsets, values.size)
-    if values.size == 0:
-        return values.copy()
-    total = np.cumsum(values)
-    starts = np.asarray(offsets[:-1], dtype=np.intp)
-    lens = segment_lengths(offsets)
-    nonempty = starts[lens > 0]
-    # Base for segment starting at s is total[s-1] (0 for s == 0).
-    bases = np.zeros(nonempty.size, dtype=total.dtype)
-    inner = nonempty > 0
-    bases[inner] = total[nonempty[inner] - 1]
-    # Scatter bases and broadcast them forward within each segment.
-    per_elem_base = np.zeros(values.size, dtype=total.dtype)
-    per_elem_base[nonempty] = bases
-    seg_of = np.cumsum(first_in_segment_mask(offsets, values.size)) - 1
-    per_elem_base = per_elem_base[nonempty][seg_of]
-    return total - per_elem_base
 
 
 def segmented_reduce(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -138,10 +98,10 @@ class SegmentedReducer:
     the SpMV kernel plans use: one reducer per matrix, one call per
     SpMV iteration.
 
-    ``reduce`` accepts 1-D values (SpMV products) or 2-D values reduced
-    along axis 0 (SpMM products, one column per right-hand side).  The
-    caller guarantees ``values.shape[0] == self.n`` and a float dtype;
-    neither is re-checked here.
+    ``reduce`` takes the 1-D SpMV products; values with more dimensions
+    are reduced along axis 0.  The caller guarantees
+    ``values.shape[0] == self.n`` and a float dtype; neither is
+    re-checked here.
     """
 
     __slots__ = ("n", "nseg", "_ne_starts", "_nonempty", "_all_nonempty")

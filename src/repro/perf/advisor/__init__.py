@@ -34,9 +34,7 @@ from repro.perf.advisor.advisor import (
     RankedChoice,
     advise,
     advise_format,
-    advise_threads,
     history_from_attributions,
-    load_checkpoint_history,
     record_realized,
 )
 from repro.perf.advisor.features import MatrixFeatures, extract_features
@@ -56,9 +54,7 @@ __all__ = [
     "RankedChoice",
     "advise",
     "advise_format",
-    "advise_threads",
     "history_from_attributions",
-    "load_checkpoint_history",
     "record_realized",
     "MatrixFeatures",
     "extract_features",

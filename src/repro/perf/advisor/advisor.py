@@ -49,9 +49,7 @@ __all__ = [
     "RankedChoice",
     "advise",
     "advise_format",
-    "advise_threads",
     "history_from_attributions",
-    "load_checkpoint_history",
     "record_realized",
 ]
 
@@ -119,35 +117,6 @@ def history_from_attributions(
         key = (str(rec.format_name), int(rec.threads))
         sums.setdefault(key, []).append(t)
     return {k: sum(v) / len(v) for k, v in sums.items()}
-
-
-def load_checkpoint_history(path) -> list:
-    """Attribution records from a bench checkpoint JSONL.
-
-    Tolerant the same way the checkpoint loader is: unreadable or
-    foreign lines are skipped, never fatal (a checkpoint is a cache,
-    not an authority).  Returns a flat list of
-    :class:`~repro.perf.attribution.Attribution` suitable for
-    :func:`history_from_attributions`.
-    """
-    import json
-
-    from repro.bench.checkpoint import result_from_json
-
-    out: list = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return out
-    for line in lines:
-        try:
-            record = json.loads(line)
-            result = result_from_json(record["result"])
-        except (ValueError, KeyError, TypeError):
-            continue
-        out.extend(result.attributions.values())
-    return out
 
 
 def _fold_history(
@@ -299,30 +268,3 @@ def advise_format(
         history=history,
     )
     return choice.config.format_name
-
-
-def advise_threads(
-    matrix,
-    *,
-    format_name: str = "csr",
-    backend: str = "thread",
-    clock: str = "real",
-    candidates: tuple[int, ...] = (1, 2, 4, 8),
-    matrix_id: int = -1,
-) -> int:
-    """The thread count ``"auto"`` resolves to for *matrix*.
-
-    Under the real clock the prediction already accounts for the GIL
-    (thread backend) and the host CPU count (process backend), so on a
-    single-CPU container this resolves to 1 rather than pretending
-    parallel dispatch is free.
-    """
-    choice = advise(
-        matrix,
-        matrix_id=matrix_id,
-        clock=clock,
-        formats=(format_name,),
-        threads=tuple(sorted(set(candidates))),
-        backends=(backend,),
-    )
-    return choice.config.threads

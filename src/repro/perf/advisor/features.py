@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compress.delta import MAX_UNIT_SIZE, matrix_deltas
-from repro.compress.unique import TTU_THRESHOLD
 from repro.formats.base import SparseMatrix
 from repro.formats.conversions import to_csr
 
@@ -70,21 +69,6 @@ class MatrixFeatures:
     unique_values: int
     diag_fraction: float
     bandwidth_mean: float
-
-    @property
-    def avg_unit_size(self) -> float:
-        """Estimated nonzeros amortizing each CSR-DU unit header."""
-        return self.nnz / self.units_est if self.units_est else 0.0
-
-    @property
-    def narrow_delta_fraction(self) -> float:
-        """Fraction of deltas in the u8 class (CSR-DU's best case)."""
-        return self.delta_hist[0] / self.nnz if self.nnz else 0.0
-
-    @property
-    def vi_applicable(self) -> bool:
-        """The paper's Section VI-E criterion: ``ttu`` above threshold."""
-        return self.ttu > TTU_THRESHOLD
 
 
 def _estimated_units(

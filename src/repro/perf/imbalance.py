@@ -11,9 +11,9 @@ into per-call balance records:
 * **barrier wait** per thread (call end minus that thread's chunk
   end -- how long the thread idled for the stragglers);
 * **time imbalance** (busiest / mean busy) against the partitioner's
-  **nnz imbalance** (from the chunk's nnz attrs), whose quotient is
-  the ``nnz_vs_time`` ratio: ~1.0 means wall time tracked the static
-  nnz balance, i.e. the paper's partitioning assumption held.
+  **nnz imbalance** (from the chunk's nnz attrs): when the two agree,
+  wall time tracked the static nnz balance, i.e. the paper's
+  partitioning assumption held.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class CallBalance:
         vals = list(self.nnz.values())
         mean = sum(vals) / len(vals)
         return max(vals) / mean if mean > 0 else 1.0
-
-    @property
-    def nnz_vs_time(self) -> float:
-        """time imbalance / nnz imbalance (~1.0: time tracked nnz)."""
-        nnz_imb = self.nnz_imbalance
-        return self.time_imbalance / nnz_imb if nnz_imb > 0 else 1.0
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,6 @@ def disarm_all() -> None:
     _FAULTS = ()
 
 
-def faults() -> tuple[Fault, ...]:
-    return _FAULTS
-
-
 def trip(site: str, **context) -> None:
     """Production hook: fire the first armed fault matching *site*.
 

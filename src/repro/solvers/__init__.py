@@ -5,22 +5,16 @@ such as Conjugate Gradient (CG) and Generalized Minimum Residual
 (GMRES)" (Section I).  These implementations consume any
 :class:`~repro.formats.base.SparseMatrix` -- compressed formats drop in
 transparently, which is exactly the deployment story of CSR-DU/CSR-VI:
-encode once, iterate many times.
+encode once, iterate many times.  CG and power iteration cover that
+story; the examples and ``benchmarks/bench_solvers.py`` drive them.
 """
 
-from repro.solvers.bicgstab import bicgstab
-from repro.solvers.cg import conjugate_gradient, preconditioned_cg
-from repro.solvers.gmres import gmres
-from repro.solvers.jacobi import jacobi
+from repro.solvers.cg import conjugate_gradient
 from repro.solvers.power import power_iteration
 from repro.solvers.result import SolveResult
 
 __all__ = [
-    "bicgstab",
     "conjugate_gradient",
-    "preconditioned_cg",
-    "gmres",
-    "jacobi",
     "power_iteration",
     "SolveResult",
 ]

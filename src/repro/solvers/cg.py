@@ -80,76 +80,3 @@ def conjugate_gradient(
     return SolveResult(
         x=x, iterations=maxiter, residual=rnorm, converged=False, spmv_calls=spmv_calls
     )
-
-
-def preconditioned_cg(
-    A: SparseMatrix,
-    b: np.ndarray,
-    *,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    maxiter: int | None = None,
-) -> SolveResult:
-    """CG with a Jacobi (diagonal) preconditioner.
-
-    ``M = diag(A)``: nearly free per iteration, and for the stiff
-    variable-coefficient systems the paper's FEM matrices come from it
-    cuts the iteration count -- fewer iterations x cheaper SpMV is the
-    full compression payoff chain.
-    """
-    from repro.solvers.jacobi import _diagonal
-
-    nrows, ncols = A.shape
-    if nrows != ncols:
-        raise FormatError(f"CG needs a square matrix, got {A.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (nrows,):
-        raise FormatError(f"b has shape {b.shape}, expected ({nrows},)")
-    diag = _diagonal(A)
-    if np.any(diag <= 0):
-        raise ConvergenceError(
-            "Jacobi-preconditioned CG requires a positive diagonal",
-            iterations=0,
-            residual=float("inf"),
-        )
-    inv_diag = 1.0 / diag
-    maxiter = maxiter if maxiter is not None else max(50, 10 * nrows)
-    x = np.zeros(nrows) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    spmv_calls = 0
-    if x0 is None:
-        r = b.copy()
-    else:
-        r = b - A.spmv(x)
-        spmv_calls += 1
-    bnorm = float(np.linalg.norm(b)) or 1.0
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= tol * bnorm:
-        return SolveResult(x=x, iterations=0, residual=rnorm, converged=True, spmv_calls=spmv_calls)
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for k in range(1, maxiter + 1):
-        Ap = A.spmv(p)
-        spmv_calls += 1
-        curvature = float(p @ Ap)
-        if curvature <= 0:
-            raise ConvergenceError(
-                f"non-positive curvature at iteration {k}: matrix not SPD",
-                iterations=k,
-                residual=rnorm,
-            )
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Ap
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
-            return SolveResult(
-                x=x, iterations=k, residual=rnorm, converged=True, spmv_calls=spmv_calls
-            )
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return SolveResult(
-        x=x, iterations=maxiter, residual=rnorm, converged=False, spmv_calls=spmv_calls
-    )

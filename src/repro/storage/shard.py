@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.compress.encode_cache import ConvertCache, cached_convert
 from repro.errors import IntegrityError, StorageError
-from repro.formats.conversions import convert, to_csr
+from repro.formats.conversions import to_csr
 from repro.storage.codec import extract_fields, rebuild_matrix
 from repro.storage.provider import attach as provider_attach
 from repro.storage.provider import make_provider
@@ -89,10 +89,8 @@ class ShardStore:
     """Row-range shards of one encoded matrix behind a buffer provider.
 
     Build with :meth:`build` (from a resident matrix, via the convert
-    cache), :meth:`build_streaming` (from a block iterator, for
-    matrices that never fit in RAM), or :meth:`open` (from a persisted
-    mmap manifest).  Use as a context manager; :meth:`close` releases
-    every backing segment/file.
+    cache) or :meth:`open` (from a persisted mmap manifest).  Use as a
+    context manager; :meth:`close` releases every backing segment/file.
     """
 
     def __init__(
@@ -232,61 +230,6 @@ class ShardStore:
                     cache=convert_cache,
                     **format_kwargs,
                 )
-                store._store_shard(i, (lo, hi), encoded)
-        except BaseException:
-            store.close()
-            raise
-        if storage == "mmap":
-            store.save_manifest()
-        return store
-
-    @classmethod
-    def build_streaming(
-        cls,
-        blocks,
-        format_name: str,
-        *,
-        ncols: int,
-        storage: str = "mmap",
-        directory: str | None = None,
-        budget_bytes: int | None = None,
-        **format_kwargs,
-    ) -> "ShardStore":
-        """Build from an iterator of ``(lo, hi, csr_block)`` row blocks.
-
-        The out-of-core entry point: blocks are encoded and spilled one
-        at a time, so peak residency is one block plus its encode --
-        the full matrix never exists in memory.  Blocks must be
-        contiguous from row 0 and each ``csr_block`` spans rows
-        ``[lo, hi)`` with the full column width.
-        """
-        provider = make_provider(storage, directory=directory)
-        store = cls(
-            provider=provider,
-            format_name=format_name,
-            format_kwargs=format_kwargs,
-            nrows=0,
-            ncols=int(ncols),
-            boundaries=[0],
-            shards=[],
-            source_csr=None,
-            budget_bytes=budget_bytes,
-        )
-        try:
-            for i, (lo, hi, block) in enumerate(blocks):
-                if lo != store.boundaries[-1]:
-                    raise StorageError(
-                        f"streamed block {i} starts at row {lo}, expected "
-                        f"{store.boundaries[-1]} (blocks must be contiguous)"
-                    )
-                if block.shape != (hi - lo, ncols):
-                    raise StorageError(
-                        f"streamed block {i} has shape {block.shape}, "
-                        f"expected ({hi - lo}, {ncols})"
-                    )
-                encoded = convert(to_csr(block), format_name, **format_kwargs)
-                store.boundaries.append(hi)
-                store.nrows = hi
                 store._store_shard(i, (lo, hi), encoded)
         except BaseException:
             store.close()

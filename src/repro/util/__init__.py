@@ -8,7 +8,7 @@ from repro.util.bitops import (
     width_class_array,
     WIDTH_BYTES,
 )
-from repro.util.timing import Timer, measure
+from repro.util.timing import measure
 from repro.util.validation import (
     as_index_array,
     as_value_array,
@@ -23,7 +23,6 @@ __all__ = [
     "width_class",
     "width_class_array",
     "WIDTH_BYTES",
-    "Timer",
     "measure",
     "as_index_array",
     "as_value_array",

@@ -2,11 +2,10 @@
 
 The paper times 128 consecutive SpMV operations; :func:`measure` mirrors
 that protocol (a fixed number of back-to-back calls, reporting the mean
-per-call time) while :class:`Timer` is a small context-manager stopwatch
-for ad-hoc instrumentation.
+per-call time).
 
 The advisor's host calibration and the microbenchmarks time real calls
-with them; the paper-shaped results come from the machine model, which
+with it; the paper-shaped results come from the machine model, which
 does not depend on the host's hardware.
 """
 
@@ -15,38 +14,6 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-
-from repro.errors import ReproError
-
-
-class Timer:
-    """Context-manager stopwatch accumulating elapsed seconds.
-
-    >>> t = Timer()
-    >>> with t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-
-    Re-entering accumulates, so one ``Timer`` can wrap each iteration of
-    a loop and report the total.
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: int | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._start is None:
-            raise ReproError(
-                "Timer exited without entering (mismatched __enter__/__exit__)"
-            )
-        self.elapsed += (time.perf_counter_ns() - self._start) * 1e-9
-        self._start = None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from repro.bench.sweep import (
     bandwidth_sweep,
     cache_sweep,
     format_sweep_table,
-    thread_sweep,
 )
 from repro.machine.topology import clovertown_8core
 from repro.matrices.collection import realize
@@ -69,25 +68,9 @@ class TestCacheSweep:
         assert all(b <= a + 1e-15 for a, b in zip(times, times[1:]))
 
 
-class TestThreadSweep:
-    def test_grid_complete(self, matrix, machine):
-        points = thread_sweep(
-            matrix, thread_counts=(1, 4), formats=("csr", "csr-du"), machine=machine
-        )
-        assert len(points) == 4
-        assert {(p.format_name, p.threads) for p in points} == {
-            ("csr", 1),
-            ("csr", 4),
-            ("csr-du", 1),
-            ("csr-du", 4),
-        }
-
-
 class TestFormatting:
     def test_table(self, matrix, machine):
-        points = thread_sweep(
-            matrix, thread_counts=(1,), formats=("csr",), machine=machine
-        )
+        points = cache_sweep(matrix, factors=(1.0,), machine=machine)
         text = format_sweep_table(points)
-        assert "threads" in text
+        assert "l2_capacity" in text
         assert "csr" in text

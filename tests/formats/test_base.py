@@ -11,7 +11,6 @@ from repro.formats import (
 )
 from repro.formats.base import (
     Storage,
-    csr_working_set_bytes,
     register_format,
     working_set_bytes,
 )
@@ -38,12 +37,6 @@ class TestWorkingSet:
         nnz, nrows, ncols = paper_matrix.nnz, *paper_matrix.shape
         expected = nnz * 12 + (nrows + 1) * 4 + (nrows + ncols) * 8
         assert working_set_bytes(paper_matrix) == expected
-        assert csr_working_set_bytes(nrows, ncols, nnz) == expected
-
-    def test_closed_form_parameters(self):
-        assert csr_working_set_bytes(10, 10, 100, index_size=2) == (
-            100 * 10 + 11 * 2 + 20 * 8
-        )
 
 
 class TestRegistry:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compress.unique import TTU_THRESHOLD
 from repro.errors import FormatError
 from repro.formats import CSRMatrix, CSRVIMatrix
 
@@ -37,7 +38,7 @@ class TestPaperExample:
     def test_ttu(self, paper_matrix):
         vi = CSRVIMatrix.from_csr(paper_matrix)
         assert vi.ttu == pytest.approx(16 / 9)
-        assert not vi.is_profitable()  # 16/9 < 5
+        assert vi.ttu <= TTU_THRESHOLD  # 16/9 < 5
 
 
 class TestCompression:
@@ -51,8 +52,7 @@ class TestCompression:
     def test_profitability_threshold(self):
         dense = random_sparse_dense(40, 40, seed=13, quantize=4)
         vi = CSRVIMatrix.from_csr(CSRMatrix.from_dense(dense))
-        assert vi.ttu > 5
-        assert vi.is_profitable()
+        assert vi.ttu > TTU_THRESHOLD
 
     def test_unprofitable_all_unique(self):
         dense = random_sparse_dense(30, 30, seed=14)

@@ -8,7 +8,6 @@ from repro.machine.topology import (
     MachineSpec,
     clovertown_8core,
     place_threads,
-    woodcrest_4core,
 )
 
 
@@ -27,12 +26,8 @@ class TestClovertown:
         assert sorted(packages[0]) == [0, 1, 2, 3]
 
     def test_total_l2(self):
-        assert clovertown_8core().total_l2_bytes() == 16 * 1024 * 1024
-
-    def test_woodcrest(self):
-        m = woodcrest_4core()
-        assert m.ncores == 4
-        assert len(m.dies()) == 2
+        m = clovertown_8core()
+        assert m.l2_bytes * len(m.dies()) == 16 * 1024 * 1024
 
 
 class TestValidation:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import FormatError
 from repro.nputil.segops import (
     SegmentedReducer,
-    first_in_segment_mask,
     segment_ids_from_offsets,
     segment_lengths,
-    segmented_cumsum,
     segmented_reduce,
 )
 
@@ -48,57 +46,6 @@ class TestSegmentIds:
         ids = segment_ids_from_offsets(offsets, n)
         counts = np.bincount(ids, minlength=offsets.size - 1)
         assert counts.tolist() == segment_lengths(offsets).tolist()
-
-
-class TestFirstInSegment:
-    def test_basic(self):
-        mask = first_in_segment_mask(np.array([0, 2, 2, 5]), 5)
-        assert mask.tolist() == [True, False, True, False, False]
-
-    def test_empty(self):
-        assert first_in_segment_mask(np.array([0]), 0).size == 0
-
-
-class TestSegmentedCumsum:
-    def test_basic(self):
-        out = segmented_cumsum(np.array([1, 2, 3, 4]), np.array([0, 2, 4]))
-        assert out.tolist() == [1, 3, 3, 7]
-
-    def test_with_empty_segments(self):
-        out = segmented_cumsum(np.array([5, 1, 1]), np.array([0, 1, 1, 3]))
-        assert out.tolist() == [5, 1, 2]
-
-    def test_empty_input(self):
-        out = segmented_cumsum(np.array([], dtype=np.int64), np.array([0, 0]))
-        assert out.size == 0
-
-    def test_single_segment_matches_cumsum(self):
-        values = np.arange(10)
-        out = segmented_cumsum(values, np.array([0, 10]))
-        assert out.tolist() == np.cumsum(values).tolist()
-
-    @given(offsets_strategy(), st.data())
-    def test_matches_python_reference(self, offsets, data):
-        n = int(offsets[-1])
-        values = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=-100, max_value=100),
-                    min_size=n,
-                    max_size=n,
-                )
-            ),
-            dtype=np.int64,
-        )
-        out = segmented_cumsum(values, offsets)
-        expected = np.empty(n, dtype=np.int64)
-        for s in range(offsets.size - 1):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            acc = 0
-            for i in range(lo, hi):
-                acc += int(values[i])
-                expected[i] = acc
-        assert out.tolist() == expected.tolist()
 
 
 class TestSegmentedReduce:

@@ -31,7 +31,6 @@ from repro.perf.advisor import (
     RankedChoice,
     advise,
     advise_format,
-    advise_threads,
     history_from_attributions,
     load_calibration,
     record_realized,
@@ -241,9 +240,8 @@ def test_history_overrides_prediction(band):
 
 def test_resolvers_return_plain_values(band):
     fmt = advise_format(band)
+    assert type(fmt) is str
     assert fmt in ADVISOR_FORMATS
-    threads = advise_threads(band)
-    assert threads in (1, 2, 4, 8)
 
 
 def test_harness_resolvers():

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress.unique import TTU_THRESHOLD
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.matrices.generators import dense_band, stencil_2d
@@ -48,7 +47,6 @@ class TestPaperMatrix:
     def test_delta_histogram_all_narrow(self, feats):
         # Columns never jump more than 5, so every delta is u8.
         assert feats.delta_hist == (16, 0, 0, 0)
-        assert feats.narrow_delta_fraction == 1.0
 
     def test_units_estimate_exact_here(self, feats):
         # One u8 run per row, none longer than 255, no singleton with a
@@ -57,13 +55,11 @@ class TestPaperMatrix:
         # And the estimate matches the real greedy encoder on this case.
         du = CSRDUMatrix.from_csr(CSRMatrix.from_dense(PAPER_DENSE))
         assert feats.units_est == du.units.nunits
-        assert feats.avg_unit_size == pytest.approx(16 / 6)
 
     def test_value_features(self, feats):
         # Distinct nonzeros: 5.4 1.1 6.3 7.7 8.8 2.9 3.7 9.0 4.5 -> 9.
         assert feats.unique_values == 9
         assert feats.ttu == pytest.approx(16 / 9)
-        assert feats.vi_applicable == (16 / 9 > TTU_THRESHOLD)
 
     def test_locality_features(self, feats):
         # Diagonal entries: rows 0, 1, 2, 4, 5 -> 5 of 16.

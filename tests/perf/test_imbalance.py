@@ -50,7 +50,6 @@ class TestSyntheticTrace:
         (call,) = call_balances(events)
         assert call.time_imbalance == pytest.approx(80 / 60)
         assert call.nnz_imbalance == pytest.approx(600 / 500)
-        assert call.nnz_vs_time == pytest.approx((80 / 60) / (600 / 500))
 
     def test_two_calls_claim_their_own_chunks(self):
         events = [

@@ -80,32 +80,3 @@ def test_wrong_x_shape(store):
 
     with pytest.raises(FormatError):
         streamed_spmv(store, np.ones(store.ncols + 3))
-
-
-def test_build_streaming_blocks(csr, x, tmp_path):
-    """Block-iterator build: the full matrix never needs to exist."""
-    cuts = [0, 17, 30, csr.nrows]
-
-    def blocks():
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield lo, hi, csr.row_slice(lo, hi)
-
-    with ShardStore.build_streaming(
-        blocks(), "csr", ncols=csr.ncols, storage="mmap",
-        directory=str(tmp_path / "s"),
-    ) as store:
-        assert store.boundaries == cuts
-        result = streamed_spmv(store, x)
-        assert np.array_equal(result.y, csr.spmv(x))
-
-
-def test_build_streaming_rejects_gaps(csr, tmp_path):
-    def blocks():
-        yield 0, 10, csr.row_slice(0, 10)
-        yield 12, 20, csr.row_slice(12, 20)  # gap: rows 10..12 missing
-
-    with pytest.raises(StorageError):
-        ShardStore.build_streaming(
-            blocks(), "csr", ncols=csr.ncols, storage="mmap",
-            directory=str(tmp_path / "s"),
-        )

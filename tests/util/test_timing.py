@@ -4,37 +4,7 @@ import statistics
 
 import pytest
 
-from repro.errors import ReproError
-from repro.util.timing import Measurement, Timer, measure
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            sum(range(1000))
-        assert t.elapsed >= first >= 0.0
-
-    def test_nonnegative(self):
-        t = Timer()
-        with t:
-            pass
-        assert t.elapsed >= 0.0
-
-    def test_exit_without_enter_raises_repro_error(self):
-        t = Timer()
-        with pytest.raises(ReproError, match="without entering"):
-            t.__exit__(None, None, None)
-
-    def test_double_exit_raises(self):
-        t = Timer()
-        with t:
-            pass
-        with pytest.raises(ReproError):
-            t.__exit__(None, None, None)
+from repro.util.timing import Measurement, measure
 
 
 class TestMeasure:
