@@ -24,13 +24,8 @@ Every lookup emits a ``convert.cache.hit`` or ``convert.cache.miss``
 counter labelled with the target format, so traces show exactly how
 much encode work the cache absorbed.  Eviction is LRU with a bounded
 entry count (encodes are matrix-sized; an unbounded cache would pin
-every matrix of a 77-matrix sweep) and, optionally, a bounded *byte*
-total (``max_bytes``): 128 entries is a safe count for bench-sized
-matrices but 128 out-of-core shards is exactly the RAM blow-up the
-storage layer exists to avoid, so a byte budget caps the resident
-footprint directly.  Byte-driven evictions emit a
-``convert.cache.evict.bytes`` counter (the bytes released, labelled
-with the evicted entry's format).
+every matrix of a 77-matrix sweep).  The count is the only bound: an
+entry is never sized, so a miss costs exactly one encode.
 """
 
 from __future__ import annotations
@@ -89,27 +84,18 @@ class ConvertCache:
 
     Thread-safe: ``ParallelSpMV`` instances built concurrently (and the
     harness driving them) may share one cache.  A hit moves the entry
-    to the fresh end; insertion past ``capacity`` (entries) or
-    ``max_bytes`` (summed ``storage().total_bytes``) evicts stalest
-    first.  An entry larger than ``max_bytes`` on its own is returned
-    to the caller but never cached -- caching it would evict everything
-    else for a single-use giant.
+    to the fresh end; insertion past ``capacity`` entries evicts the
+    stalest first.
     """
 
-    def __init__(self, capacity: int = 128, *, max_bytes: int | None = None):
+    def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.capacity = capacity
-        self.max_bytes = max_bytes
-        # key -> (result, entry_bytes)
-        self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.total_bytes = 0
-        self.evicted_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -117,7 +103,6 @@ class ConvertCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.total_bytes = 0
 
     def invalidate(
         self,
@@ -136,10 +121,7 @@ class ConvertCache:
         """
         key = cache_key(matrix, format_name, kwargs, rows)
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self.total_bytes -= entry[1]
-            return entry is not None
+            return self._entries.pop(key, None) is not None
 
     def get_or_convert(
         self,
@@ -163,7 +145,7 @@ class ConvertCache:
                 self.hits += 1
         if entry is not None:
             telemetry.count("convert.cache.hit", 1, format=format_name)
-            return entry[0]
+            return entry
         telemetry.count("convert.cache.miss", 1, format=format_name)
         # Conversion runs outside the lock: encodes are the expensive
         # part, and two racing misses on one key just do the work twice
@@ -174,37 +156,12 @@ class ConvertCache:
         if rows is not None:
             source = to_csr(matrix).row_slice(rows[0], rows[1])
         result = convert(source, format_name, **kwargs)
-        try:
-            entry_bytes = int(result.storage().total_bytes)
-        except Exception:
-            entry_bytes = 0
-        if self.max_bytes is not None and entry_bytes > self.max_bytes:
-            # Too big to ever fit: hand it back uncached rather than
-            # flushing the whole cache for one giant entry.
-            with self._lock:
-                self.misses += 1
-            return result
-        evicted: list[tuple[tuple, int]] = []
         with self._lock:
             self.misses += 1
-            stale = self._entries.pop(key, None)
-            if stale is not None:
-                self.total_bytes -= stale[1]
-            self._entries[key] = (result, entry_bytes)
-            self.total_bytes += entry_bytes
-            while len(self._entries) > self.capacity or (
-                self.max_bytes is not None
-                and self.total_bytes > self.max_bytes
-            ):
-                old_key, (_, old_bytes) = self._entries.popitem(last=False)
-                self.total_bytes -= old_bytes
-                self.evicted_bytes += old_bytes
-                evicted.append((old_key, old_bytes))
-        for old_key, old_bytes in evicted:
-            # old_key[1] is the entry's target format (see cache_key).
-            telemetry.count(
-                "convert.cache.evict.bytes", old_bytes, format=old_key[1]
-            )
+            self._entries[key] = result
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return result
 
 

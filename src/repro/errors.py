@@ -76,6 +76,13 @@ class IntegrityError(ReproError):
         self.field = field
 
 
+#: Decode-class errors: what possibly-stale encoded data raises at
+#: decode time.  The one set every recovery path absorbs -- the
+#: executors' cache-invalidating retry, the guarded kernel's tier
+#: fallback, the streamed shard rebuild; anything else propagates.
+DECODE_ERRORS = (EncodingError, IntegrityError, FormatError)
+
+
 class StorageError(ReproError):
     """A shard store, buffer provider, or manifest operation failed.
 
@@ -119,7 +126,7 @@ class DeadlineExceeded(ExecutionError):
     ----------
     label:
         Where the budget ran out (``"parallel.call"``,
-        ``"stream.shard"``, ...), or ``""``.
+        ``"resilience.rung"``, ...), or ``""``.
     budget_s:
         The total wall-clock budget the deadline started with.
     """

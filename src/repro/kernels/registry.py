@@ -58,30 +58,19 @@ for _name in ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr"):
 FALLBACK_ORDER: tuple[str, ...] = ("cached", "reference")
 
 
-def fallback_chain(
-    format_name: str, start_tier: str = "cached"
-) -> tuple[KernelSpec, ...]:
-    """The format's guarded-execution chain, from *start_tier* down.
+def fallback_chain(format_name: str) -> tuple[KernelSpec, ...]:
+    """The format's guarded-execution chain, in :data:`FALLBACK_ORDER`.
 
-    Raises :class:`~repro.errors.FormatError` for an unknown start tier
-    or a format with no tier at or below it.
+    Raises :class:`~repro.errors.FormatError` for a format with no
+    registered tier.
     """
-    if start_tier not in FALLBACK_ORDER:
-        raise FormatError(
-            f"unknown fallback start tier {start_tier!r}; "
-            f"order is {FALLBACK_ORDER}"
-        )
-    idx = FALLBACK_ORDER.index(start_tier)
     chain = tuple(
         get_kernel(format_name, tier)
-        for tier in FALLBACK_ORDER[idx:]
+        for tier in FALLBACK_ORDER
         if (format_name, tier) in _KERNELS
     )
     if not chain:
-        raise FormatError(
-            f"format {format_name!r} has no kernels at or below tier "
-            f"{start_tier!r}"
-        )
+        raise FormatError(f"format {format_name!r} has no kernels")
     return chain
 
 

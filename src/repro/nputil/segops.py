@@ -98,9 +98,8 @@ class SegmentedReducer:
     the SpMV kernel plans use: one reducer per matrix, one call per
     SpMV iteration.
 
-    ``reduce`` takes the 1-D SpMV products; values with more dimensions
-    are reduced along axis 0.  The caller guarantees
-    ``values.shape[0] == self.n`` and a float dtype; neither is
+    ``reduce`` takes the 1-D SpMV products.  The caller guarantees
+    ``values.shape == (self.n,)`` and a float dtype; neither is
     re-checked here.
     """
 
@@ -120,25 +119,24 @@ class SegmentedReducer:
         self._ne_starts = np.asarray(offsets[:-1], dtype=np.intp)[nonempty]
 
     def reduce(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Per-segment sums of *values* (summation along axis 0).
+        """Per-segment sums of the 1-D *values*.
 
         With ``out=`` the result is written in place (the whole buffer
         is overwritten, empty segments included) and returned.
         """
-        shape = (self.nseg,) + values.shape[1:]
         if self._ne_starts.size == 0:
             if out is None:
-                return np.zeros(shape, dtype=values.dtype)
+                return np.zeros(self.nseg, dtype=values.dtype)
             out[...] = 0
             return out
-        reduced = np.add.reduceat(values, self._ne_starts, axis=0)
+        reduced = np.add.reduceat(values, self._ne_starts)
         if self._all_nonempty:
             if out is None:
                 return reduced
             np.copyto(out, reduced)
             return out
         if out is None:
-            out = np.zeros(shape, dtype=values.dtype)
+            out = np.zeros(self.nseg, dtype=values.dtype)
         else:
             out[...] = 0
         out[self._nonempty] = reduced

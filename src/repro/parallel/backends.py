@@ -20,8 +20,12 @@ process   mmap       same executor, workers re-open the memmap shards
 
 Both classes share the calling convention (``executor(x, out=)``),
 the fault contract (:class:`~repro.errors.ExecutionError` aggregation,
-cache-invalidating retry, ``chunk_timeout``), and ``close()`` /
-context-manager lifetime, so callers treat the return value uniformly.
+one cache-invalidating retry of a :data:`~repro.errors.DECODE_ERRORS`
+failure, ``chunk_timeout``), and ``close()`` / context-manager
+lifetime, so callers treat the return value uniformly.  The
+degradation ladder is not a mode of this factory:
+:class:`~repro.resilience.degrade.ResilientExecutor` wraps it, one
+rung per (backend, storage) pair.
 
 ``nworkers`` may be omitted (or given as ``"auto"``): the default is
 the host's logical CPU count -- requesting more workers than cores
@@ -80,9 +84,6 @@ def make_executor(
     chunk_timeout: float | None = None,
     retry_policy=None,
     deadline=None,
-    degrade: bool = False,
-    breaker_threshold: int = 3,
-    breaker_cooldown_s: float = 5.0,
     **format_kwargs,
 ):
     """Build the executor for (*backend*, *storage*); see the table above.
@@ -92,18 +93,10 @@ def make_executor(
     defaults to the host CPU count (see :func:`default_workers`);
     ``format_name="auto"`` resolves through the advisor.
 
-    Resilience knobs (PR 10): ``retry_policy`` (a
-    :class:`~repro.resilience.policy.RetryPolicy`; default one
-    decode-class retry) and ``deadline`` (a
+    ``retry_policy`` (a :class:`~repro.resilience.policy.RetryPolicy`;
+    default one decode-class retry) and ``deadline`` (a
     :class:`~repro.resilience.policy.Deadline` whose remaining budget
     caps every per-chunk wait) flow into whichever executor is built.
-    ``degrade=True`` wraps the configuration in a
-    :class:`~repro.resilience.degrade.ResilientExecutor`: the requested
-    (backend, storage) becomes the top rung of an explicit fallback
-    ladder down to serial in-memory execution, with per-rung circuit
-    breakers configured by ``breaker_threshold`` /
-    ``breaker_cooldown_s`` (the process backend also uses those values
-    for its per-shard-generation breakers).
     """
     if backend not in BACKENDS:
         raise PartitionError(
@@ -121,26 +114,6 @@ def make_executor(
 
         format_name = advise_format(
             matrix, threads=nworkers, backend=backend
-        )
-    if degrade:
-        # Imported lazily: degrade.py calls back into make_executor to
-        # build each rung (with degrade off).
-        from repro.resilience.degrade import ResilientExecutor
-
-        return ResilientExecutor(
-            matrix,
-            nworkers,
-            backend=backend,
-            storage=storage,
-            format_name=format_name,
-            directory=directory,
-            convert_cache=convert_cache,
-            chunk_timeout=chunk_timeout,
-            retry_policy=retry_policy,
-            deadline=deadline,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown_s=breaker_cooldown_s,
-            **format_kwargs,
         )
     if backend == "thread":
         return ParallelSpMV(
@@ -165,7 +138,5 @@ def make_executor(
         chunk_timeout=chunk_timeout,
         retry_policy=retry_policy,
         deadline=deadline,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown_s=breaker_cooldown_s,
         **format_kwargs,
     )

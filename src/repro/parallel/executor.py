@@ -8,9 +8,7 @@ the per-thread kernels concurrently on a persistent thread pool.
 Fault tolerance (PR 5): a worker failure no longer poisons the run
 silently or kills it on the first exception.  Every chunk's outcome is
 collected; chunks that fail with a decode-class error
-(:class:`~repro.errors.EncodingError` / :class:`~repro.errors.
-IntegrityError` / :class:`~repro.errors.FormatError`) get one bounded
-retry after their cached encode is invalidated and rebuilt from the
+(:data:`~repro.errors.DECODE_ERRORS`) get one bounded retry after their cached encode is invalidated and rebuilt from the
 source matrix (``executor.retry`` counter), and whatever still fails
 is aggregated into a single :class:`~repro.errors.ExecutionError`
 carrying per-chunk (thread id, row range) context.  An optional
@@ -47,13 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compress.encode_cache import DEFAULT_CACHE, ConvertCache
-from repro.errors import (
-    EncodingError,
-    ExecutionError,
-    FormatError,
-    IntegrityError,
-    PartitionError,
-)
+from repro.errors import ExecutionError, FormatError, PartitionError
 from repro.formats.base import SparseMatrix, check_out_aliasing
 from repro.formats.conversions import to_csr
 from repro.kernels.plan import PLANNABLE_FORMATS, get_plan
@@ -61,14 +53,6 @@ from repro.parallel.partition import RowPartition, row_partition
 from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
 from repro.telemetry import core as telemetry
-
-#: Error types that warrant invalidating the chunk's cached encode and
-#: retrying once (decode-time failures of possibly-stale cached data).
-#: Kept as the worker-side classification the process backend pickles
-#: across; the retry *decision* now lives in
-#: :class:`~repro.resilience.policy.RetryPolicy` (``retry_on=
-#: ("decode",)`` maps to exactly this tuple).
-RETRYABLE = (EncodingError, IntegrityError, FormatError)
 
 
 @dataclass(frozen=True)
@@ -206,9 +190,8 @@ class ParallelSpMV:
     retry_policy:
         :class:`~repro.resilience.policy.RetryPolicy` governing chunk
         retries.  The default is one immediate cache-invalidating
-        retry of decode-class failures — exactly the hardcoded PR-5
-        behavior, now declarative.  One retry budget is shared by all
-        chunks across all calls of this executor.
+        retry of a decode-class failure.  One retry budget is shared
+        by all chunks across all calls of this executor.
     deadline:
         Optional :class:`~repro.resilience.policy.Deadline`: one
         wall-clock budget for this executor's whole run.  Caps every
@@ -252,7 +235,6 @@ class ParallelSpMV:
         )
         self.deadline = deadline
         self._retry_budget = self.retry_policy.new_budget()
-        self._retry_rng = self.retry_policy.new_rng()
         # Kept for chunk rebuilds on retry (see _rebuild_chunk).
         self._csr = csr
         self._format_name = format_name
@@ -381,7 +363,6 @@ class ParallelSpMV:
                         rebuild=lambda: self._rebuild_chunk(t),
                         budget=self._retry_budget,
                         deadline=self.deadline,
-                        rng=self._retry_rng,
                         on_retry=on_retry,
                     )
             except Exception as exc:

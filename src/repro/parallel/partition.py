@@ -76,6 +76,7 @@ def row_partition(row_ptr: np.ndarray, nthreads: int) -> RowPartition:
     bounds = balance_by_nnz(row_ptr, nthreads)
     ptr = np.asarray(row_ptr, dtype=np.int64)
     nnz_per = ptr[bounds[1:]] - ptr[bounds[:-1]]
+    partition = RowPartition(boundaries=bounds, nnz_per_thread=nnz_per)
     if telemetry.enabled():
-        record_partition(bounds.tolist(), nnz_per.tolist())
-    return RowPartition(boundaries=bounds, nnz_per_thread=nnz_per)
+        record_partition(partition)
+    return partition

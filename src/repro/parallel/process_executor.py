@@ -15,8 +15,8 @@ process boundary:
 
 * every chunk outcome is collected; failures aggregate into one
   :class:`~repro.errors.ExecutionError` with per-chunk context;
-* decode-class failures (:data:`~repro.parallel.executor.RETRYABLE`,
-  which includes the CRC mismatch a poisoned shard raises at attach)
+* decode-class failures (:data:`~repro.errors.DECODE_ERRORS`, which
+  include the CRC mismatch a poisoned shard raises at attach)
   get one retry after the parent rebuilds the shard from the source
   matrix -- ``rebuild_shard`` bumps the shard's generation, so the
   worker's attach cache cannot serve the stale bytes;
@@ -35,7 +35,6 @@ not round-trip through pickle reliably -- and are reconstructed from
 from __future__ import annotations
 
 import builtins
-import multiprocessing
 import os
 import traceback
 import uuid
@@ -43,7 +42,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_all_start_methods, get_context, shared_memory
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from repro.errors import (
 from repro.formats.base import SparseMatrix, check_out_aliasing
 from repro.formats.conversions import to_csr
 from repro.obs import xproc
-from repro.parallel.executor import RETRYABLE, ChunkFailure, abandon_chunk
+from repro.parallel.executor import ChunkFailure, abandon_chunk
 from repro.parallel.partition import RowPartition, row_partition
 from repro.resilience import chaos
 from repro.resilience.breaker import BreakerBoard
@@ -214,7 +213,6 @@ def _worker_spmv(
             "ok": False,
             "error_type": type(exc).__name__,
             "error": str(exc),
-            "retryable": isinstance(exc, RETRYABLE),
             "traceback": traceback.format_exc(),
         }
     if wt is not None and wt.began:
@@ -292,11 +290,6 @@ class ProcessParallelSpMV:
         :class:`TimeoutError` failure inside the aggregated
         :class:`~repro.errors.ExecutionError`, and the shared buffers
         are rotated so the straggler cannot corrupt the next call.
-    mp_context:
-        Multiprocessing start method (default ``"fork"`` where
-        available, else the platform default): fork makes worker
-        startup cheap and is safe here because workers only attach
-        buffers and run NumPy kernels.
     retry_policy:
         :class:`~repro.resilience.policy.RetryPolicy` governing the
         rebuild-and-resubmit retry (default: one retry of decode-class
@@ -304,13 +297,15 @@ class ProcessParallelSpMV:
     deadline:
         Optional :class:`~repro.resilience.policy.Deadline` capping
         every per-chunk wait at the run's remaining wall-clock budget.
-    breaker_threshold, breaker_cooldown_s:
-        Per-(shard, generation) circuit-breaker configuration: after
-        *breaker_threshold* consecutive failures against one shard
-        generation, further rebuild attempts are refused (a typed
-        :class:`~repro.errors.BreakerOpenError` failure) until the
-        cooldown admits a half-open probe.  A successful rebuild bumps
-        the generation and therefore starts a fresh breaker.
+
+    Workers start by ``fork`` where the platform has it (cheap, and
+    safe here because workers only attach buffers and run NumPy
+    kernels).  Each (shard, generation) has a circuit breaker with the
+    stock threshold and cooldown: after repeated failures against one
+    shard generation, further rebuild attempts are refused (a typed
+    :class:`~repro.errors.BreakerOpenError` failure) until the cooldown
+    admits a half-open probe.  A successful rebuild bumps the
+    generation and therefore starts a fresh breaker.
     """
 
     backend = "process"
@@ -325,11 +320,8 @@ class ProcessParallelSpMV:
         directory: str | None = None,
         convert_cache: ConvertCache | None = None,
         chunk_timeout: float | None = None,
-        mp_context: str | None = None,
         retry_policy: RetryPolicy | None = None,
         deadline: Deadline | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 5.0,
         **format_kwargs,
     ):
         if nworkers < 1:
@@ -353,10 +345,7 @@ class ProcessParallelSpMV:
         )
         self.deadline = deadline
         self._retry_budget = self.retry_policy.new_budget()
-        self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold,
-            cooldown_s=breaker_cooldown_s,
-        )
+        self.breakers = BreakerBoard()
         self._format_name = format_name
         self.partition: RowPartition = row_partition(csr.row_ptr, nworkers)
         self.store = ShardStore.build(
@@ -370,9 +359,9 @@ class ProcessParallelSpMV:
             deadline=deadline,
             **format_kwargs,
         )
-        if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-            mp_context = "fork"
-        self._ctx = get_context(mp_context) if mp_context else get_context()
+        self._ctx = get_context(
+            "fork" if "fork" in get_all_start_methods() else None
+        )
         self._pool: ProcessPoolExecutor | None = None
         self._run_id = uuid.uuid4().hex[:12]
         self._x = _SharedVector(self.ncols)

@@ -3,44 +3,18 @@
 One coherent policy surface over the recovery behaviors PRs 5/7/8
 scattered across the executors and the shard store:
 
-* :mod:`repro.resilience.policy` — declarative :class:`RetryPolicy`
-  (attempts, error classes, full-jitter backoff, per-run budget) and
-  wall-clock :class:`Deadline` propagation.
+* :mod:`repro.resilience.policy` — :class:`RetryPolicy` (attempts and
+  a per-run budget for decode-class errors) and wall-clock
+  :class:`Deadline` propagation.
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker` /
   :class:`BreakerBoard` (closed → open → half-open with cooldown).
 * :mod:`repro.resilience.degrade` — the :class:`ResilientExecutor`
   backend ladder ``process → thread → serial`` (+ ``mmap → mem``).
 * :mod:`repro.resilience.chaos` — fault-injection hooks for
-  ``tools/smoke_chaos.py`` (not re-exported here; import explicitly).
+  ``tools/smoke_chaos.py``.
+
+Nothing is re-exported here; import from the submodules.  The
+executors import :mod:`~repro.resilience.chaos` and
+:mod:`~repro.resilience.policy`, and the ladder imports the executors,
+so an eager ``degrade`` import in this package would be circular.
 """
-
-from repro.resilience.breaker import BreakerBoard, CircuitBreaker
-from repro.resilience.degrade import (
-    BACKEND_LADDER,
-    ResilientExecutor,
-    SerialSpMV,
-    ladder_for,
-)
-from repro.resilience.policy import (
-    DEFAULT_RETRY_POLICY,
-    ERROR_CLASSES,
-    Deadline,
-    RetryBudget,
-    RetryPolicy,
-    classify_error,
-)
-
-__all__ = [
-    "BACKEND_LADDER",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "DEFAULT_RETRY_POLICY",
-    "Deadline",
-    "ERROR_CLASSES",
-    "ladder_for",
-    "ResilientExecutor",
-    "RetryBudget",
-    "RetryPolicy",
-    "SerialSpMV",
-    "classify_error",
-]

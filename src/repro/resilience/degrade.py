@@ -40,6 +40,8 @@ on it after a degradation usually costs no re-encode at all.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.compress.encode_cache import DEFAULT_CACHE
@@ -53,6 +55,7 @@ from repro.errors import (
 )
 from repro.formats.base import check_out_aliasing
 from repro.formats.conversions import to_csr
+from repro.parallel.backends import make_executor
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.robust.guard import GuardedKernel
@@ -159,12 +162,13 @@ class ResilientExecutor:
     """``make_executor`` with an explicit degradation ladder around it.
 
     Parameters mirror :func:`~repro.parallel.backends.make_executor`
-    (*backend*/*storage* name the **top** rung) plus the resilience
-    knobs: *retry_policy* and *deadline* are forwarded to each rung's
-    executor, and *breaker_threshold*/*breaker_cooldown_s* configure
-    the per-rung breakers (one consecutive-failure gate per rung; an
-    open rung is skipped until its cooldown admits a half-open probe,
-    which is how the ladder climbs *back up* after recovery).
+    (*backend*/*storage* name the **top** rung); *retry_policy* and
+    *deadline* are forwarded to each rung's executor.  Each rung has
+    one :class:`~repro.resilience.breaker.CircuitBreaker` with the
+    stock threshold and cooldown: an open rung is skipped until its
+    cooldown admits a half-open probe, which is how the ladder climbs
+    *back up* after recovery.  *clock* is the breakers' clock (a fake
+    one in tests).
 
     Built rung executors are cached; a rung that fails is closed and
     evicted so its next probe starts from clean state (fresh pool,
@@ -184,9 +188,7 @@ class ResilientExecutor:
         chunk_timeout: float | None = None,
         retry_policy: RetryPolicy | None = None,
         deadline: Deadline | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 5.0,
-        clock=None,
+        clock=time.monotonic,
         **format_kwargs,
     ):
         self._matrix = matrix
@@ -199,13 +201,7 @@ class ResilientExecutor:
         self._deadline = deadline
         self._format_kwargs = dict(format_kwargs)
         self.ladder = ladder_for(backend, storage)
-        kwargs = {
-            "failure_threshold": breaker_threshold,
-            "cooldown_s": breaker_cooldown_s,
-        }
-        if clock is not None:
-            kwargs["clock"] = clock
-        self.breakers = BreakerBoard(**kwargs)
+        self.breakers = BreakerBoard(clock=clock)
         self._executors: dict[tuple[str, str], object] = {}
         #: Rung of the last successful call (observability, reporting).
         self.active_rung: tuple[str, str] = self.ladder[0]
@@ -236,10 +232,6 @@ class ResilientExecutor:
                 **self._format_kwargs,
             )
         else:
-            # Imported lazily: backends.py imports this module for its
-            # degrade= path, so a top-level import would be circular.
-            from repro.parallel.backends import make_executor
-
             built = make_executor(
                 self._matrix,
                 self._nworkers,

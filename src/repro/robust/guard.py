@@ -5,7 +5,8 @@ A compressed-format kernel can fail at decode time — a malformed
 long after the matrix was built.  :class:`GuardedKernel` wraps the
 registry's tier chain (cached → reference: the format's plan-backed
 ``spmv``, then the paper's pure-Python listing, which uses no plan) so
-one failing tier degrades instead of aborting: the cell re-runs on the
+one failing tier degrades instead of aborting: a
+:data:`~repro.errors.DECODE_ERRORS` failure re-runs the cell on the
 next tier, a ``kernel.fallback`` counter records the transition (the
 dashboard surfaces degradation), and only a chain with *no* surviving
 tier raises.
@@ -20,13 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import EncodingError, FormatError, IntegrityError
+from repro.errors import DECODE_ERRORS, FormatError, IntegrityError
 from repro.kernels.registry import fallback_chain
 from repro.telemetry import core as telemetry
-
-#: Failure types a fallback may absorb.  Anything else (MemoryError,
-#: programming errors) propagates immediately.
-RECOVERABLE = (EncodingError, IntegrityError, FormatError)
 
 
 def _tier_of(spec) -> str:
@@ -39,26 +36,18 @@ class GuardedKernel:
     Parameters
     ----------
     format_name:
-        Registry name the chain is built for.
-    start_tier:
-        First tier to try (default ``"cached"``); the chain continues
-        through the registry's fallback order from there.
+        Registry name the chain is built for; the chain is the
+        registry's whole fallback order for it.
     chain:
         Explicit sequence of kernels to try instead (tests, custom
         orders).  Entries may be :class:`~repro.kernels.registry.
         KernelSpec` or plain callables.
     """
 
-    def __init__(
-        self,
-        format_name: str,
-        *,
-        start_tier: str = "cached",
-        chain=None,
-    ):
+    def __init__(self, format_name: str, *, chain=None):
         self.format_name = format_name
         self.chain = (
-            tuple(chain) if chain is not None else fallback_chain(format_name, start_tier)
+            tuple(chain) if chain is not None else fallback_chain(format_name)
         )
         if not self.chain:
             raise FormatError(f"empty fallback chain for {format_name!r}")
@@ -75,7 +64,7 @@ class GuardedKernel:
         for i, spec in enumerate(self.chain):
             try:
                 return spec(matrix, x)
-            except RECOVERABLE as exc:
+            except DECODE_ERRORS as exc:
                 last_exc = exc
                 to_tier = (
                     _tier_of(self.chain[i + 1])
@@ -98,6 +87,6 @@ class GuardedKernel:
         ) from last_exc
 
 
-def guarded_spmv(matrix, x: np.ndarray, *, start_tier: str = "cached") -> np.ndarray:
+def guarded_spmv(matrix, x: np.ndarray) -> np.ndarray:
     """One-shot guarded ``y = A x`` using the matrix's own format chain."""
-    return GuardedKernel(matrix.name, start_tier=start_tier)(matrix, x)
+    return GuardedKernel(matrix.name)(matrix, x)

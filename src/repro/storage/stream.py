@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import FormatError, StorageError
 from repro.obs.resource import rss_bytes
 from repro.resilience import chaos
-from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
+from repro.resilience.policy import DEFAULT_RETRY_POLICY
 from repro.telemetry import core as telemetry
 
 __all__ = ["StreamResult", "streamed_spmv", "PROGRESS_NAME", "Y_PARTIAL_NAME"]
@@ -92,9 +92,6 @@ def streamed_spmv(
     x: np.ndarray,
     *,
     checkpoint_dir: str | None = None,
-    verify: bool = True,
-    retry_policy: RetryPolicy | None = None,
-    deadline: Deadline | None = None,
 ) -> StreamResult:
     """Compute ``y = A x`` one shard at a time.
 
@@ -109,25 +106,15 @@ def streamed_spmv(
         When given, ``y`` is an on-disk memmap in this directory and
         progress is recorded after every shard; a matching progress
         record already present resumes the run from where it stopped.
-    verify:
-        Forwarded to shard attach: CRC-check every field (default on).
-    retry_policy:
-        :class:`~repro.resilience.policy.RetryPolicy` for per-shard
-        failures.  The default retries a decode-class failure (CRC
-        mismatch at attach, malformed ctl at multiply) once after
-        rebuilding the shard from the store's source matrix; a store
-        with no source (reopened from a manifest) fails with a typed
-        :class:`~repro.errors.StorageError` instead.
-    deadline:
-        Optional wall-clock :class:`~repro.resilience.policy.Deadline`
-        for the whole stream, checked at every shard boundary; expiry
-        raises :class:`~repro.errors.DeadlineExceeded` *after* the
-        last completed shard was checkpointed, so a later run resumes
-        cleanly.
+
+    Every shard attach CRC-checks every field.  A decode-class failure
+    (CRC mismatch at attach, malformed ctl at multiply) is retried once
+    under :data:`~repro.resilience.policy.DEFAULT_RETRY_POLICY`, after
+    the shard is rebuilt from the store's source matrix; a store with
+    no source (reopened from a manifest) fails with a typed
+    :class:`~repro.errors.StorageError` instead.
     """
-    policy = DEFAULT_RETRY_POLICY if retry_policy is None else retry_policy
-    retry_budget = policy.new_budget()
-    retry_rng = policy.new_rng()
+    retry_budget = DEFAULT_RETRY_POLICY.new_budget()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (store.ncols,):
         raise FormatError(f"x has shape {x.shape}, expected ({store.ncols},)")
@@ -173,8 +160,6 @@ def streamed_spmv(
         "storage.stream", shards=store.nshards, resumed_from=resumed_from
     ) as stream_span:
         for i in range(resumed_from, store.nshards):
-            if deadline is not None:
-                deadline.check("stream.shard")
             lo, hi = store.rows_of(i)
 
             def shard_pass(_target, i=i, lo=lo, hi=hi) -> None:
@@ -183,7 +168,7 @@ def streamed_spmv(
                     shard=i,
                     generation=store.shards[i]["generation"],
                 )
-                shard = store.attach(i, verify=verify)
+                shard = store.attach(i)
                 shard.spmv(x, out=y[lo:hi])
                 # Drop the shard before sampling so the measured peak
                 # is the streaming working set, not dead views.
@@ -202,12 +187,10 @@ def streamed_spmv(
                     format=store.format_name,
                 )
 
-            policy.run(
+            DEFAULT_RETRY_POLICY.run(
                 shard_pass,
                 rebuild=lambda i=i: store.rebuild_shard(i),
                 budget=retry_budget,
-                deadline=deadline,
-                rng=retry_rng,
                 on_retry=on_retry,
             )
             done_this_run += 1

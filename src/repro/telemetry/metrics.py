@@ -75,11 +75,6 @@ VOCABULARY: dict[str, Spec] = {
         "counter", "format", "conversion that had to encode",
         _mirror("convert.cache.miss", "format"),
     ),
-    "convert.cache.evict.bytes": _spec(
-        "counter", "format",
-        "bytes released by a byte-budget LRU eviction (evicted format)",
-        _mirror("convert.cache.evict.bytes", "format"),
-    ),
     "encode.batched": _spec(
         "span", "kind nnz",
         "vectorized one-pass encode (csr-du adds policy, nunits, ctl_bytes)",
@@ -316,34 +311,27 @@ def record_unique_values(
     core.gauge("encode.csr_vi.ttu", ttu)
 
 
-def record_partition(
-    boundaries: Sequence[int], nnz_per_thread: Sequence[int]
-) -> None:
+def record_partition(partition) -> None:
     """Per-thread nnz balance and row-block bounds of one partitioning.
 
+    *partition* is a :class:`~repro.parallel.partition.RowPartition`.
     Emits one ``partition.nnz`` counter event per thread (the event's
     ``lo``/``hi`` attributes carry the thread's row-block bounds) plus
-    the split's imbalance gauge.  Events carry ``kind="row"``, the one
-    partitioning scheme.
+    the split's ``partition.imbalance()`` gauge.  Events carry
+    ``kind="row"``, the one partitioning scheme.
     """
     if not core.enabled():
         return
-    total = 0.0
-    peak = 0.0
-    n = len(nnz_per_thread)
-    for t in range(n):
-        nnz = float(nnz_per_thread[t])
+    for t in range(partition.nthreads):
+        lo, hi = partition.rows_of(t)
         core.count(
             "partition.nnz",
-            nnz,
-            extra={"lo": int(boundaries[t]), "hi": int(boundaries[t + 1])},
+            float(partition.nnz_per_thread[t]),
+            extra={"lo": lo, "hi": hi},
             thread=t,
             kind="row",
         )
-        total += nnz
-        peak = max(peak, nnz)
-    mean = total / n if n else 0.0
-    core.gauge("partition.imbalance", peak / mean if mean else 1.0, kind="row")
+    core.gauge("partition.imbalance", partition.imbalance(), kind="row")
 
 
 def record_attribution(

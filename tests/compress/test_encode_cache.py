@@ -134,66 +134,3 @@ class TestExecutorIntegration:
         assert cache.hits >= 4
         assert np.array_equal(first, second)
         assert np.allclose(first, csr.spmv(x), rtol=1e-13, atol=1e-13)
-
-
-class TestByteBudget:
-    """Optional max_bytes budget: summed storage().total_bytes bound."""
-
-    def test_total_bytes_tracks_entries(self, csr):
-        cache = ConvertCache(capacity=8)
-        a = cache.get_or_convert(csr, "csr-du")
-        assert cache.total_bytes == a.storage().total_bytes
-        b = cache.get_or_convert(csr, "csr-vi")
-        assert cache.total_bytes == (
-            a.storage().total_bytes + b.storage().total_bytes
-        )
-
-    def test_byte_budget_evicts_lru(self, csr):
-        one = ConvertCache(capacity=8).get_or_convert(csr, "csr-du")
-        budget = int(one.storage().total_bytes * 1.5)
-        cache = ConvertCache(capacity=8, max_bytes=budget)
-        cache.get_or_convert(csr, "csr-du")
-        cache.get_or_convert(csr, "csr-du", rows=(0, 24))
-        cache.get_or_convert(csr, "csr-du", rows=(24, 48))
-        assert cache.total_bytes <= budget
-        assert cache.evicted_bytes > 0
-        assert len(cache) < 3
-
-    def test_oversized_entry_returned_uncached(self, csr):
-        cache = ConvertCache(capacity=8, max_bytes=16)
-        result = cache.get_or_convert(csr, "csr-du")
-        assert result.nnz == csr.nnz
-        assert len(cache) == 0
-        assert cache.misses == 1
-        assert cache.total_bytes == 0
-
-    def test_invalidate_returns_bytes(self, csr):
-        cache = ConvertCache(capacity=8, max_bytes=1 << 20)
-        cache.get_or_convert(csr, "csr-du")
-        assert cache.total_bytes > 0
-        assert cache.invalidate(csr, "csr-du")
-        assert cache.total_bytes == 0
-
-    def test_eviction_telemetry(self, collector, csr):
-        one = ConvertCache(capacity=8).get_or_convert(csr, "csr-du")
-        budget = int(one.storage().total_bytes * 1.5)
-        cache = ConvertCache(capacity=8, max_bytes=budget)
-        cache.get_or_convert(csr, "csr-du")
-        cache.get_or_convert(csr, "csr-vi")
-        events = [
-            e for e in collector.snapshot()
-            if e.name == "convert.cache.evict.bytes"
-        ]
-        assert events
-        assert events[0].attrs["format"] == "csr-du"  # the LRU entry
-        assert events[0].value == one.storage().total_bytes
-
-    def test_max_bytes_validated(self):
-        with pytest.raises(ValueError):
-            ConvertCache(max_bytes=0)
-
-    def test_clear_resets_byte_total(self, csr):
-        cache = ConvertCache(capacity=8, max_bytes=1 << 20)
-        cache.get_or_convert(csr, "csr-du")
-        cache.clear()
-        assert cache.total_bytes == 0 and len(cache) == 0

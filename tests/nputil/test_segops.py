@@ -124,12 +124,6 @@ class TestSegmentedReducer:
         out = np.full(2, np.nan)
         assert reducer.reduce(np.ones(3), out=out).tolist() == [2.0, 1.0]
 
-    def test_two_dimensional_values(self):
-        reducer = SegmentedReducer(np.array([0, 2, 2, 3]), 3)
-        vals = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        out = reducer.reduce(vals)
-        assert out.tolist() == [[3.0, 30.0], [0.0, 0.0], [3.0, 30.0]]
-
     def test_all_segments_empty(self):
         reducer = SegmentedReducer(np.array([0, 0, 0]), 0)
         assert reducer.reduce(np.empty(0)).tolist() == [0.0, 0.0]

@@ -151,19 +151,18 @@ class TestResilientExecutor:
     def test_all_rungs_open_raises_breaker_open(self, csr, x):
         now = [0.0]
         ex = ResilientExecutor(
-            csr,
-            2,
-            backend="thread",
-            storage="mem",
-            breaker_threshold=1,
-            breaker_cooldown_s=60.0,
-            clock=lambda: now[0],
+            csr, 2, backend="thread", storage="mem", clock=lambda: now[0]
         )
+        # The stock breaker opens on the third consecutive failure.
         for rung in ex.ladder:
-            ex.breakers.get(ex._rung_key(rung)).record_failure()
+            breaker = ex.breakers.get(ex._rung_key(rung))
+            for _ in range(3):
+                breaker.record_failure()
+        now[0] = 1.0
         with pytest.raises(BreakerOpenError) as exc_info:
             ex(x)
-        assert exc_info.value.retry_after_s == pytest.approx(60.0)
+        # The stock cooldown is 5 s; 1 s of it has passed.
+        assert exc_info.value.retry_after_s == pytest.approx(4.0)
         ex.close()
 
     def test_recovers_up_the_ladder_after_cooldown(self, csr, x):
@@ -176,22 +175,27 @@ class TestResilientExecutor:
             exc_factory=lambda: OSError("injected"),
         )
         ex = ResilientExecutor(
-            csr,
-            2,
-            backend="thread",
-            storage="mem",
-            breaker_threshold=1,
-            breaker_cooldown_s=5.0,
-            clock=lambda: now[0],
+            csr, 2, backend="thread", storage="mem", clock=lambda: now[0]
         )
-        assert np.array_equal(ex(x), csr.spmv(x))
-        assert ex.active_rung == ("serial", "mem")
+        thread_rung = ex.breakers.get(ex._rung_key(("thread", "mem")))
+        # Three failing calls open the thread rung's stock breaker; each
+        # still answers from the serial rung.
+        for _ in range(3):
+            assert np.array_equal(ex(x), csr.spmv(x))
+            assert ex.active_rung == ("serial", "mem")
+        assert not thread_rung.allow()
         # While the thread breaker is open, calls stay on serial without
         # re-attempting the broken rung.
-        assert np.array_equal(ex(x), csr.spmv(x))
+        prev = telemetry.set_collector(telemetry.Collector())
+        try:
+            assert np.array_equal(ex(x), csr.spmv(x))
+            events = telemetry.get_collector().snapshot()
+        finally:
+            telemetry.set_collector(prev)
         assert ex.active_rung == ("serial", "mem")
-        # Heal the fault; after the cooldown the half-open probe readopts
-        # the thread rung.
+        assert not [e for e in events if e.name == "resilience.degrade"]
+        # Heal the fault; once more than the 5 s cooldown has passed the
+        # half-open probe readopts the thread rung.
         chaos.disarm_all()
         now[0] = 6.0
         assert np.array_equal(ex(x), csr.spmv(x))

@@ -6,6 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import (
+    DECODE_ERRORS,
     DeadlineExceeded,
     EncodingError,
     FormatError,
@@ -18,11 +19,12 @@ from repro.resilience.policy import (
     Deadline,
     RetryBudget,
     RetryPolicy,
-    classify_error,
 )
 
 
 class TestClassify:
+    """Only DECODE_ERRORS are retried; the labels name the old classes."""
+
     @pytest.mark.parametrize(
         "exc, cls",
         [
@@ -38,7 +40,9 @@ class TestClassify:
         ],
     )
     def test_classes(self, exc, cls):
-        assert classify_error(exc) == cls
+        decode = cls == "decode"
+        assert isinstance(exc, DECODE_ERRORS) is decode
+        assert DEFAULT_RETRY_POLICY.should_retry(exc, 1) is decode
 
 
 class TestRetryBudget:
@@ -112,21 +116,20 @@ class TestRetryPolicy:
     def test_default_reproduces_single_decode_retry(self):
         p = DEFAULT_RETRY_POLICY
         assert p.max_attempts == 2
-        assert p.retry_on == ("decode",)
-        assert p.retryable(EncodingError("x"))
-        assert not p.retryable(StorageError("x"))
-        assert not p.retryable(ValueError("x"))
+        assert p.budget == 32
+        assert p.should_retry(EncodingError("x"), 1)
+        assert not p.should_retry(EncodingError("x"), 2)
+        assert not p.should_retry(StorageError("x"), 1)
+        assert not p.should_retry(ValueError("x"), 1)
 
     def test_validation(self):
         with pytest.raises(PartitionError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(PartitionError):
-            RetryPolicy(base_delay_s=-1.0)
-        with pytest.raises(PartitionError):
-            RetryPolicy(retry_on=("decode", "nonsense"))
+            RetryPolicy(budget=-1).new_budget()
 
     def test_should_retry_order(self):
-        p = RetryPolicy(max_attempts=3, retry_on=("decode",), budget=10)
+        p = RetryPolicy(max_attempts=3, budget=10)
         budget = p.new_budget()
         # Non-retryable class refuses without spending budget.
         assert not p.should_retry(ValueError("x"), 1, budget=budget)
@@ -150,20 +153,6 @@ class TestRetryPolicy:
         assert p.should_retry(EncodingError("x"), 1, budget=budget)
         assert p.should_retry(EncodingError("x"), 1, budget=budget)
         assert not p.should_retry(EncodingError("x"), 1, budget=budget)
-
-    def test_backoff_full_jitter_deterministic(self):
-        p = RetryPolicy(base_delay_s=0.1, max_delay_s=0.4, seed=7)
-        a = [p.backoff_s(n, p.new_rng()) for n in (1, 2, 3, 4)]
-        b = [p.backoff_s(n, p.new_rng()) for n in (1, 2, 3, 4)]
-        assert a == b  # seeded rng -> reproducible
-        caps = [0.1, 0.2, 0.4, 0.4]  # exponential, capped at max_delay_s
-        for delay, cap in zip(a, caps):
-            assert 0.0 <= delay <= cap
-
-    def test_zero_base_delay_means_immediate(self):
-        p = RetryPolicy()
-        assert p.backoff_s(1) == 0.0
-        assert p.backoff_s(5) == 0.0
 
 
 class TestRunLoop:
@@ -208,23 +197,32 @@ class TestRunLoop:
             p.run(attempt)
         assert len(calls) == 1
 
-    def test_on_retry_fires_before_backoff_sleep(self):
-        p = RetryPolicy(max_attempts=3, base_delay_s=0.1, seed=3)
+    def test_on_retry_fires_before_rebuild(self):
+        p = RetryPolicy(max_attempts=3)
         order = []
 
-        def attempt(_):
-            if len(order) < 2:  # fail until one retry happened
+        def attempt(target):
+            order.append(("attempt", target))
+            if target == "stale":
                 raise EncodingError("x")
             return "done"
 
-        p.run(
+        def rebuild():
+            order.append(("rebuild", None))
+            return "fresh"
+
+        assert p.run(
             attempt,
+            target="stale",
+            rebuild=rebuild,
             on_retry=lambda exc, attempt_n: order.append(("retry", attempt_n)),
-            sleep=lambda s: order.append(("sleep", s)),
-            rng=p.new_rng(),
-        )
-        assert order[0][0] == "retry"
-        assert order[1][0] == "sleep"
+        ) == "done"
+        assert order == [
+            ("attempt", "stale"),
+            ("retry", 1),
+            ("rebuild", None),
+            ("attempt", "fresh"),
+        ]
 
     def test_budget_bounds_total_retries(self):
         p = RetryPolicy(max_attempts=10, budget=3)

@@ -63,14 +63,6 @@ class TestFallbackChain:
         funcs = [spec.func for spec in fallback_chain(fmt)]
         assert len(set(map(id, funcs))) == len(funcs)
 
-    def test_start_tier_skips_ahead(self):
-        chain = fallback_chain("csr-du", "reference")
-        assert [spec.tier for spec in chain] == ["reference"]
-
-    def test_unknown_start_tier(self):
-        with pytest.raises(FormatError):
-            fallback_chain("csr-du", "quantum")
-
 
 class TestGuardedKernel:
     @pytest.mark.parametrize("fmt", ("csr", "csr-du", "csr-vi", "csr-du-vi"))

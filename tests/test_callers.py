@@ -15,6 +15,17 @@ called.  References are ``ast.Name`` ids, ``ast.Attribute`` attrs and
 plus the ``"repro.module:Qual.name"`` strings through which
 ``benchmarks/e2e`` wraps its traced functions.  Dunder methods are
 skipped: the interpreter calls them.
+
+A second scan applies the same rule to settings: a value with only one
+setting in use is a constant, not a parameter.  Over the execution and
+resilience layers (:data:`PARAM_SCOPE`) it fails on any defaulted
+parameter -- of a function, a method, ``__init__`` (called by class
+name) or a dataclass field -- that no call outside ``tests/`` passes,
+unless :data:`PARAM_ALLOWLIST` names it with the reason.  A call
+passes a parameter by keyword, or by position when enough positional
+arguments reach it; callees match by bare name (``cls(...)`` inside a
+class is that class), so a forwarding ``k=k`` counts and the scan only
+finds values no code can set.
 """
 
 from __future__ import annotations
@@ -31,6 +42,13 @@ SRC = ROOT / "src"
 CALLER_TREES = ("src", "tools", "benchmarks", "examples")
 TARGET_STRING = re.compile(r"^repro(?:\.\w+)*:([\w.]+)$")
 REASON = re.compile(r"^(oracle for |public entry point: )\S")
+PARAM_SCOPE = (
+    "repro/parallel",
+    "repro/resilience",
+    "repro/storage",
+    "repro/compress/encode_cache.py",
+)
+PARAM_REASON = re.compile(r"^(fake-clock seam|test seam|public entry point): \S")
 
 ALLOWLIST = {
     "repro.compress.delta:split_row_units": (
@@ -88,9 +106,6 @@ ALLOWLIST = {
     "repro.machine.topology:MachineSpec.packages": (
         "public entry point: package -> cores map, the sibling of dies()"
     ),
-    "repro.parallel.partition:RowPartition.imbalance": (
-        "oracle for the partition.imbalance gauge row_partition records"
-    ),
     "repro.resilience.breaker:CircuitBreaker.guard": (
         "public entry point: raise BreakerOpenError unless the breaker allows"
     ),
@@ -109,6 +124,39 @@ ALLOWLIST = {
     "repro.telemetry.core:configure": (
         "public entry point: install or drop a fresh collector in one call"
     ),
+}
+
+
+#: ``module:qualname(param)`` -> why the parameter stays settable.
+PARAM_ALLOWLIST = {
+    "repro.resilience.policy:Deadline.after(clock)": (
+        "fake-clock seam: tests expire a deadline without sleeping"
+    ),
+    "repro.resilience.degrade:ResilientExecutor.__init__(clock)": (
+        "fake-clock seam: tests step the rung breakers through cooldown"
+    ),
+    "repro.resilience.breaker:BreakerBoard.__init__(failure_threshold)": (
+        "test seam: the breaker's own setting; tests trip it in one failure"
+    ),
+    "repro.resilience.breaker:BreakerBoard.__init__(cooldown_s)": (
+        "test seam: the breaker's own setting, checked against its breakers"
+    ),
+    "repro.compress.encode_cache:ConvertCache.__init__(capacity)": (
+        "test seam: a small LRU makes eviction observable in a few encodes"
+    ),
+    **{
+        f"repro.resilience.degrade:ResilientExecutor.__init__({name})": (
+            "public entry point: the ladder takes make_executor's settings "
+            "and forwards them to every rung"
+        )
+        for name in (
+            "directory",
+            "convert_cache",
+            "chunk_timeout",
+            "retry_policy",
+            "deadline",
+        )
+    },
 }
 
 
@@ -186,4 +234,126 @@ def test_allowlist_is_current(uncalled):
 
 def test_every_allowlist_entry_has_a_reason():
     bad = sorted(k for k, why in ALLOWLIST.items() if not REASON.match(why))
+    assert not bad, bad
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_params():
+    """``(key, callee, param, position)`` for every defaulted parameter.
+
+    *callee* is the name a call uses (the class name for ``__init__``
+    and dataclass fields); *position* is the parameter's index among
+    the positional arguments of such a call, or ``None`` when it is
+    keyword-only.
+    """
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if not any(rel == s or rel.startswith(s + "/") for s in PARAM_SCOPE):
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, node in _definitions(tree):
+            key = f"{module}:{qualname}"
+            if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    fields = [
+                        f for f in node.body
+                        if isinstance(f, ast.AnnAssign)
+                        and isinstance(f.target, ast.Name)
+                    ]
+                    for i, f in enumerate(fields):
+                        if f.value is not None:
+                            name = f.target.id
+                            yield f"{key}({name})", node.name, name, i
+                continue
+            if node.name.startswith("__") and node.name != "__init__":
+                continue
+            owner = qualname.split(".")[0] if "." in qualname else None
+            callee = owner if node.name == "__init__" else node.name
+            static = any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list
+            )
+            bound = owner is not None and not static
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                name = positional[i].arg
+                yield f"{key}({name})", callee, name, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{key}({arg.arg})", callee, arg.arg, None
+
+
+def _passes() -> dict[str, tuple[int, set[str]]]:
+    """callee name -> (most positional arguments, keywords) over calls."""
+    npos: dict[str, int] = defaultdict(int)
+    keywords: dict[str, set[str]] = defaultdict(set)
+    for top in CALLER_TREES:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            owner_of = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for node in ast.walk(cls):
+                        owner_of[id(node)] = cls.name
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "cls" and id(node) in owner_of:
+                    name = owner_of[id(node)]
+                if name is None:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                npos[name] = max(npos[name], count)
+                keywords[name].update(k.arg for k in node.keywords if k.arg)
+    return {name: (npos[name], keywords[name]) for name in npos}
+
+
+def _unset_params() -> set[str]:
+    """Keys of every in-scope defaulted parameter no call passes."""
+    passes = _passes()
+    found = set()
+    for key, callee, name, position in _defaulted_params():
+        npos, keywords = passes.get(callee, (0, set()))
+        if name in keywords or (position is not None and npos > position):
+            continue
+        found.add(key)
+    return found
+
+
+@pytest.fixture(scope="module")
+def unset_params() -> set[str]:
+    return _unset_params()
+
+
+def test_no_test_only_parameters(unset_params):
+    extra = sorted(unset_params - set(PARAM_ALLOWLIST))
+    assert not extra, (
+        "defaulted parameters only tests set (or nothing sets); make the "
+        "default the only behaviour, or add them to PARAM_ALLOWLIST with "
+        f"a reason: {extra}"
+    )
+
+
+def test_param_allowlist_is_current(unset_params):
+    stale = sorted(set(PARAM_ALLOWLIST) - unset_params)
+    assert not stale, f"drop these PARAM_ALLOWLIST entries: {stale}"
+
+
+def test_every_param_allowlist_entry_has_a_reason():
+    bad = sorted(
+        k for k, why in PARAM_ALLOWLIST.items() if not PARAM_REASON.match(why)
+    )
     assert not bad, bad

@@ -236,7 +236,6 @@ def scenario_breaker_open(n: int = 96, nworkers: int = 2) -> str:
         nworkers,
         format_name="csr",
         retry_policy=RetryPolicy(max_attempts=1, budget=0),
-        breaker_threshold=3,
     ) as ex:
         last: ExecutionError | None = None
         for _ in range(3):
