@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.formats import CSRDUMatrix, CSRVIMatrix, DCSRMatrix
 from repro.formats.conversions import to_csr
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_vi import CSRVIMatrix
+from repro.formats.dcsr import DCSRMatrix
 from repro.matrices.collection import realize
 from repro.util.timing import measure
 

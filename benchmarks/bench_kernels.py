@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.formats import convert
+from repro.formats.conversions import convert
 from repro.kernels.registry import get_kernel
 from repro.matrices.collection import realize
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.formats import convert
-from repro.formats.conversions import to_csr
+from repro.formats.conversions import convert, to_csr
 from repro.matrices.generators import stencil_2d
 from repro.matrices.values import set_matrix_values
-from repro.solvers import conjugate_gradient
+from repro.solvers.cg import conjugate_gradient
 
 
 @pytest.fixture(scope="module")

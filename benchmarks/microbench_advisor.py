@@ -11,7 +11,7 @@ wins.  Per-matrix **regret** is
 
 so 1.0 means the advisor found the optimum and 1.25 means its pick ran
 25% slower.  The documented safety contract is
-:data:`repro.perf.advisor.REGRET_BOUND`: the *geometric mean* regret
+:data:`repro.perf.advisor.advisor.REGRET_BOUND`: the *geometric mean* regret
 over the corpus must stay at or under it, and the run exits nonzero if
 it does not.
 
@@ -20,7 +20,7 @@ selector: ``make_executor(..., format_name="auto")`` must produce a
 ``y`` bit-identical to the same executor built with the advisor's pick
 spelled explicitly.  Every advise call emits an ``advisor.pick``
 telemetry event and the realized wall clock of the picked config is
-reported back via :func:`repro.perf.advisor.record_realized`, so the
+reported back via :func:`repro.perf.advisor.advisor.record_realized`, so the
 prediction-error column in the HTML dashboard has live pairs to chart.
 
 The JSON carries the cells under ``experiments.advisor.cells`` -- the
@@ -46,7 +46,6 @@ import sys
 
 import numpy as np
 
-from repro import telemetry
 from repro.formats.conversions import convert
 from repro.matrices.collection import (
     ML_IDS,
@@ -56,15 +55,15 @@ from repro.matrices.collection import (
     realize,
 )
 from repro.parallel.backends import make_executor
-from repro.perf.advisor import (
+from repro.perf.advisor.advisor import (
     REGRET_BOUND,
     advise,
     advise_format,
-    extract_features,
-    measure_calibration,
     record_realized,
 )
-from repro.perf.advisor.model import ADVISOR_FORMATS
+from repro.perf.advisor.features import extract_features
+from repro.perf.advisor.model import ADVISOR_FORMATS, measure_calibration
+from repro.telemetry import core as telemetry
 from repro.util.hostinfo import host_fingerprint
 from repro.util.timing import measure
 

@@ -53,8 +53,8 @@ from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import banded_random, stencil_2d
 from repro.obs.resource import rss_bytes
 from repro.parallel.backends import make_executor
-from repro.storage import ShardStore, streamed_spmv
-from repro.storage.stream import PROGRESS_NAME
+from repro.storage.shard import ShardStore
+from repro.storage.stream import PROGRESS_NAME, streamed_spmv
 from repro.util.timing import measure
 
 FORMATS = ("csr", "csr-du", "csr-vi")

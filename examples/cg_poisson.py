@@ -20,10 +20,11 @@ import numpy as np
 
 from repro import convert
 from repro.formats.conversions import to_csr
-from repro.machine import clovertown_8core, simulate_spmv
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
 from repro.matrices.generators import stencil_2d
 from repro.matrices.values import set_matrix_values
-from repro.solvers import conjugate_gradient
+from repro.solvers.cg import conjugate_gradient
 
 
 def build_poisson(n: int):

@@ -17,9 +17,10 @@ import numpy as np
 
 from repro import convert
 from repro.formats.conversions import to_csr
-from repro.machine import clovertown_8core, simulate_spmv
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
 from repro.matrices.generators import powerlaw_graph
-from repro.solvers import power_iteration
+from repro.solvers.power import power_iteration
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     # Symmetrize so power iteration converges to a real eigenpair, and
     # keep values at 1.0 (pattern graph).
     sym = graph.to_coo()
-    from repro.formats import COOMatrix
+    from repro.formats.coo import COOMatrix
 
     coo = COOMatrix(
         n,

@@ -14,7 +14,8 @@ Run:  python examples/model_validation.py
 import numpy as np
 
 from repro import CSRMatrix, convert
-from repro.machine import clovertown_8core, simulate_spmv
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
 from repro.machine.tracesim import format_trace, run_trace
 
 

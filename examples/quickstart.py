@@ -12,7 +12,8 @@ import numpy as np
 
 from repro import CSRMatrix, available_formats, convert
 from repro.compress.ctl import CtlReader
-from repro.machine import clovertown_8core, simulate_spmv
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
 
 A = np.array(
     [

@@ -13,7 +13,8 @@ import sys
 
 from repro import convert
 from repro.formats.base import working_set_bytes
-from repro.machine import clovertown_8core, simulate_spmv
+from repro.machine.simulate import simulate_spmv
+from repro.machine.topology import clovertown_8core
 from repro.matrices.collection import entry, realize
 
 THREADS = (1, 2, 4, 8)

@@ -11,61 +11,19 @@ Public API quick tour::
     A_vi = convert(A, "csr-vi")              # value compression
     y = A_du @ x                             # SpMV
 
-    from repro.machine import clovertown_8core, simulate_spmv
+    from repro.machine.simulate import simulate_spmv
+    from repro.machine.topology import clovertown_8core
     t = simulate_spmv(A_du, threads=8, machine=clovertown_8core())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+The root re-exports only these quick-tour names; everything else is
+imported from the module that defines it.  See DESIGN.md for the
+system inventory and EXPERIMENTS.md for the paper-versus-measured
+record of every table and figure.
 """
 
-from repro.errors import (
-    CatalogError,
-    ConvergenceError,
-    EncodingError,
-    FormatError,
-    MachineModelError,
-    PartitionError,
-    ReproError,
-)
-from repro.io import load_matrix, save_matrix
-from repro.formats import (
-    COOMatrix,
-    CSRDUMatrix,
-    CSRDUVIMatrix,
-    CSRMatrix,
-    CSRVIMatrix,
-    DCSRMatrix,
-    SparseMatrix,
-    Storage,
-    available_formats,
-    convert,
-    to_csr,
-    working_set_bytes,
-)
+from repro.formats.conversions import available_formats, convert
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_vi import CSRVIMatrix
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ReproError",
-    "FormatError",
-    "EncodingError",
-    "PartitionError",
-    "MachineModelError",
-    "CatalogError",
-    "ConvergenceError",
-    "SparseMatrix",
-    "Storage",
-    "COOMatrix",
-    "CSRMatrix",
-    "CSRDUMatrix",
-    "CSRVIMatrix",
-    "CSRDUVIMatrix",
-    "DCSRMatrix",
-    "available_formats",
-    "save_matrix",
-    "load_matrix",
-    "convert",
-    "to_csr",
-    "working_set_bytes",
-    "__version__",
-]

@@ -17,7 +17,7 @@ counters instead of requiring a trace file::
     python -m repro.bench profile table2 --scale 0.0625 --top 10
 
 Live observability: ``--obs`` turns on the live view of the telemetry
-sink (a :class:`repro.obs.ObsRuntime`: chunk/cell latency histograms,
+sink (a :class:`repro.obs.core.ObsRuntime`: chunk/cell latency histograms,
 windowed fallback/retry/cache rates, resource gauges, the default SLO
 rule set), ``--metrics-out``
 writes the final OpenMetrics snapshot (``--obs-interval N`` rewrites
@@ -46,7 +46,6 @@ import math
 import sys
 import time
 
-from repro import telemetry
 from repro.bench import experiments as exp
 from repro.bench.harness import ExperimentConfig
 from repro.bench.report import (
@@ -54,6 +53,7 @@ from repro.bench.report import (
     format_speedup_table,
     format_table2,
 )
+from repro.telemetry import core as telemetry
 from repro.telemetry.export import export_all, summary
 
 _EXPERIMENTS = ("table2", "table3", "table4", "fig7", "fig8", "ablations")
@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     runtime = prev_runtime = None
     if obs_on:
-        from repro.obs import ObsRuntime
+        from repro.obs.core import ObsRuntime
         from repro.obs.rules import default_rules, parse_rule
 
         rules = default_rules() + [parse_rule(r) for r in args.rule]

@@ -222,7 +222,7 @@ def _advisor_section(
     Two sources, both optional: a ``BENCH_advisor.json`` bundle (the
     microbench's oracle sweep -- carries per-matrix regret) and the
     run's own ``advisor.pick`` events (advise/realized pairs emitted
-    live by :func:`repro.perf.advisor.advise`).
+    live by :func:`repro.perf.advisor.advisor.advise`).
     """
     parts: list[str] = []
     if advisor:

@@ -43,7 +43,7 @@ SPEEDUP_THREADS: tuple[int, ...] = (1, 2, 4, 8)
 
 def _advise(matrix, config, *, matrix_id, formats, threads):
     """One advisor call with this run's machine/cost-model context."""
-    from repro.perf.advisor import advise
+    from repro.perf.advisor.advisor import advise
 
     return advise(
         matrix,

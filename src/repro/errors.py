@@ -119,14 +119,12 @@ class DeadlineExceeded(ExecutionError):
 
     Subclasses :class:`ExecutionError` so existing executor callers
     that catch the execution family see the expiry without new except
-    clauses; the degradation ladder deliberately does *not* absorb it
-    (a spent time budget cannot be bought back by a slower backend).
+    clauses.
 
     Attributes
     ----------
     label:
-        Where the budget ran out (``"parallel.call"``,
-        ``"resilience.rung"``, ...), or ``""``.
+        Where the budget ran out (``"parallel.call"``, ...), or ``""``.
     budget_s:
         The total wall-clock budget the deadline started with.
     """

@@ -1,4 +1,4 @@
-"""Base class and registry for sparse-matrix storage formats.
+"""Base class for sparse-matrix storage formats.
 
 Every format in :mod:`repro.formats` derives from :class:`SparseMatrix`
 and reports its storage honestly, split the way the paper splits it:
@@ -12,9 +12,9 @@ That split drives both the compression-ratio reporting of Figs. 7/8 and
 the machine model's traffic accounting, so each format implements
 :meth:`SparseMatrix.storage` exactly from its real arrays.
 
-Formats register themselves with :func:`register_format` so the
-benchmark harness and CLI can look them up by the names used in the
-paper (``"csr"``, ``"csr-du"``, ``"csr-vi"``, ...).
+The benchmark harness and CLI look formats up by the names used in
+the paper (``"csr"``, ``"csr-du"``, ``"csr-vi"``, ...) through the one
+name-to-class table, :data:`repro.formats.conversions.FORMATS`.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class SparseMatrix(abc.ABC):
     to the format's default kernel.
     """
 
-    #: Registry name, set by each concrete class (e.g. ``"csr-du"``).
+    #: Format name, set by each concrete class (e.g. ``"csr-du"``).
     name: str = ""
 
     def __init__(self, nrows: int, ncols: int):
@@ -177,36 +177,4 @@ def working_set_bytes(
     """
     st = matrix.storage()
     return st.total_bytes + (matrix.nrows + matrix.ncols) * value_size
-
-
-# ---------------------------------------------------------------------------
-# Format registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: dict[str, type] = {}
-
-
-def register_format(cls: type) -> type:
-    """Class decorator registering a format under its ``name``."""
-    if not getattr(cls, "name", ""):
-        raise FormatError(f"{cls.__name__} has no registry name")
-    if cls.name in _REGISTRY:
-        raise FormatError(f"format name {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_format(name: str) -> type:
-    """Look a format class up by registry name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise FormatError(
-            f"unknown format {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_formats() -> tuple[str, ...]:
-    """Names of all registered formats, sorted."""
-    return tuple(sorted(_REGISTRY))
 

@@ -1,4 +1,4 @@
-"""Generic conversions between any two registered formats.
+"""Generic conversions between any two formats, and the format table.
 
 All roads go through CSR: every format implements ``from_csr`` /
 ``to_csr`` (COO goes through ``CSRMatrix.to_coo``/``from_coo``), so
@@ -9,10 +9,32 @@ graph linear in the number of formats instead of quadratic.
 from __future__ import annotations
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, get_format
+from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
+from repro.formats.csr_vi import CSRVIMatrix
+from repro.formats.dcsr import DCSRMatrix
 from repro.telemetry import core as telemetry
+
+#: Every storage format by the name the paper uses for it.
+FORMATS: dict[str, type[SparseMatrix]] = {
+    cls.name: cls
+    for cls in (
+        COOMatrix,
+        CSRMatrix,
+        CSRDUMatrix,
+        CSRVIMatrix,
+        CSRDUVIMatrix,
+        DCSRMatrix,
+    )
+}
+
+
+def available_formats() -> tuple[str, ...]:
+    """Names of all formats, sorted."""
+    return tuple(sorted(FORMATS))
 
 
 def to_csr(matrix: SparseMatrix) -> CSRMatrix:
@@ -28,12 +50,17 @@ def to_csr(matrix: SparseMatrix) -> CSRMatrix:
 
 
 def convert(matrix: SparseMatrix, name: str, **kwargs) -> SparseMatrix:
-    """Convert *matrix* to the format registered under *name*.
+    """Convert *matrix* to the format named *name* in :data:`FORMATS`.
 
     Extra keyword arguments are forwarded to the target's ``from_csr``
     (e.g. ``policy=`` and ``max_unit=`` for CSR-DU).
     """
-    cls = get_format(name)
+    try:
+        cls = FORMATS[name]
+    except KeyError:
+        raise FormatError(
+            f"unknown format {name!r}; known: {sorted(FORMATS)}"
+        ) from None
     if isinstance(matrix, cls) and not kwargs:
         return matrix
     with telemetry.span(

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.util.validation import (
     as_index_array,
     as_value_array,
@@ -21,7 +21,6 @@ from repro.util.validation import (
 )
 
 
-@register_format
 class COOMatrix(SparseMatrix):
     """Coordinate-format sparse matrix.
 

@@ -17,8 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.formats.coo import COOMatrix
+from repro.kernels.plan import _check_x, get_plan
 from repro.nputil.segops import segment_ids_from_offsets
 from repro.util.validation import (
     as_index_array,
@@ -28,7 +29,6 @@ from repro.util.validation import (
 )
 
 
-@register_format
 class CSRMatrix(SparseMatrix):
     """CSR matrix with the paper's canonical invariants.
 
@@ -108,8 +108,6 @@ class CSRMatrix(SparseMatrix):
         so the ``int64`` row-pointer cast and the offsets validation are
         paid once per matrix, not per call.
         """
-        from repro.kernels.plan import _check_x, get_plan
-
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.values, x, out=out)
 

@@ -41,12 +41,12 @@ from repro.compress.ctl import DecodedUnits, decode_units  # noqa: F401
 from repro.compress.delta import MAX_UNIT_SIZE
 from repro.compress.encode_batched import encode_ctl_batched
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.formats.csr import CSRMatrix
+from repro.kernels.plan import _check_x, get_plan, plan_units
 from repro.util.validation import as_value_array
 
 
-@register_format
 class CSRDUMatrix(SparseMatrix):
     """CSR Delta Unit matrix.
 
@@ -87,8 +87,6 @@ class CSRDUMatrix(SparseMatrix):
     @cached_property
     def units(self) -> DecodedUnits:
         """The kernel plan's unit table (the plan build checks the shape)."""
-        from repro.kernels.plan import plan_units
-
         return plan_units(self)
 
     # -- SparseMatrix interface --------------------------------------------
@@ -113,8 +111,6 @@ class CSRDUMatrix(SparseMatrix):
         accumulate in element order (bit-identical to the reference
         kernel).
         """
-        from repro.kernels.plan import _check_x, get_plan
-
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.values, x, out=out)
 

@@ -19,13 +19,13 @@ from repro.compress.ctl import DecodedUnits
 from repro.compress.delta import MAX_UNIT_SIZE
 from repro.compress.unique import unique_index_values
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix, units_to_csr
+from repro.kernels.plan import _check_x, get_plan, plan_units
 from repro.util.validation import as_value_array
 
 
-@register_format
 class CSRDUVIMatrix(SparseMatrix):
     """Delta-unit index stream + value-indexed numerical data."""
 
@@ -47,8 +47,6 @@ class CSRDUVIMatrix(SparseMatrix):
     @cached_property
     def units(self) -> DecodedUnits:
         """The kernel plan's unit table (see :attr:`CSRDUMatrix.units`)."""
-        from repro.kernels.plan import plan_units
-
         return plan_units(self)
 
     @property
@@ -74,8 +72,6 @@ class CSRDUVIMatrix(SparseMatrix):
 
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Batched ctl decode plus the value-index gather (plan-cached)."""
-        from repro.kernels.plan import _check_x, get_plan
-
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.vals_unique[self.val_ind], x, out=out)
 

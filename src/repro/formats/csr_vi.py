@@ -19,8 +19,9 @@ import numpy as np
 
 from repro.compress.unique import UniqueValues, unique_index_values
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.formats.csr import CSRMatrix
+from repro.kernels.plan import _check_x, get_plan
 from repro.util.validation import (
     as_index_array,
     as_value_array,
@@ -29,7 +30,6 @@ from repro.util.validation import (
 )
 
 
-@register_format
 class CSRVIMatrix(SparseMatrix):
     """CSR Value Index matrix."""
 
@@ -104,8 +104,6 @@ class CSRVIMatrix(SparseMatrix):
         built once (:mod:`repro.kernels.plan`); the value gather stays
         per call, as in the paper's kernel.
         """
-        from repro.kernels.plan import _check_x, get_plan
-
         x = _check_x(x, self.ncols)
         return get_plan(self).spmv(self.vals_unique[self.val_ind], x, out=out)
 

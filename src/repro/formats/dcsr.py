@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import EncodingError, FormatError
-from repro.formats.base import SparseMatrix, Storage, register_format
+from repro.formats.base import SparseMatrix, Storage
 from repro.formats.csr import CSRMatrix
 from repro.nputil.segops import segmented_reduce
 from repro.util.bitops import decode_varint, encode_varint
@@ -208,7 +208,6 @@ def decode_dcsr(stream: bytes, nrows: int, nnz: int) -> DecodedDCSR:
     )
 
 
-@register_format
 class DCSRMatrix(SparseMatrix):
     """Delta-Compressed Sparse Row matrix (baseline from [19])."""
 

@@ -24,7 +24,7 @@ _MAGIC = "repro-sparse-v1"
 
 
 def save_matrix(matrix: SparseMatrix, path) -> None:
-    """Serialize *matrix* (any registered format) to ``path`` (.npz)."""
+    """Serialize *matrix* (any format) to ``path`` (.npz)."""
     name = type(matrix).name
     arrays: dict[str, np.ndarray] = {
         "__magic__": np.array(_MAGIC),

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import FormatError
+from repro.formats.conversions import FORMATS
 from repro.kernels import reference as _ref
 
 
@@ -47,8 +48,8 @@ _KERNELS: dict[tuple[str, str], Callable] = {
     ("dcsr", "reference"): _ref.spmv_dcsr_reference,
 }
 
-# Every registered format supports the "cached" tier through its spmv().
-for _name in ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr"):
+# Every format supports the "cached" tier through its spmv().
+for _name in FORMATS:
     _KERNELS[(_name, "cached")] = _cached
 
 

@@ -3,7 +3,7 @@
 This is what the benchmark harness calls for every (matrix, format,
 thread count, placement) cell of the paper's tables:
 
->>> from repro.machine import clovertown_8core, simulate_spmv   # doctest: +SKIP
+>>> from repro.machine.topology import clovertown_8core         # doctest: +SKIP
 >>> res = simulate_spmv(matrix, threads=8, machine=clovertown_8core())
 >>> res.mflops, res.bound                                       # doctest: +SKIP
 """

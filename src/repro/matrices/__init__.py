@@ -1,67 +1,1 @@
 """Matrix workloads: synthetic generators, the paper's catalog, I/O, stats."""
-
-from repro.matrices.generators import (
-    banded_random,
-    block_structured,
-    dense_band,
-    diagonal_bands,
-    powerlaw_graph,
-    random_uniform,
-    stencil_2d,
-    stencil_3d,
-    tridiagonal,
-)
-from repro.matrices.values import (
-    continuous_values,
-    quantized_values,
-    set_matrix_values,
-)
-from repro.matrices.reorder import apply_symmetric_permutation, rcm_permutation, rcm_reorder
-from repro.matrices.stats import MatrixStats, compute_stats
-from repro.matrices.collection import (
-    ALL_IDS,
-    M0_IDS,
-    M0_VI_IDS,
-    ML_IDS,
-    ML_VI_IDS,
-    MS_IDS,
-    MS_VI_IDS,
-    CatalogEntry,
-    catalog,
-    entry,
-    realize,
-)
-from repro.matrices.mmio import read_matrix_market, write_matrix_market
-
-__all__ = [
-    "stencil_2d",
-    "stencil_3d",
-    "banded_random",
-    "random_uniform",
-    "powerlaw_graph",
-    "block_structured",
-    "dense_band",
-    "diagonal_bands",
-    "tridiagonal",
-    "continuous_values",
-    "quantized_values",
-    "set_matrix_values",
-    "rcm_permutation",
-    "rcm_reorder",
-    "apply_symmetric_permutation",
-    "MatrixStats",
-    "compute_stats",
-    "CatalogEntry",
-    "catalog",
-    "entry",
-    "realize",
-    "ALL_IDS",
-    "M0_IDS",
-    "ML_IDS",
-    "MS_IDS",
-    "M0_VI_IDS",
-    "ML_VI_IDS",
-    "MS_VI_IDS",
-    "read_matrix_market",
-    "write_matrix_market",
-]

@@ -27,8 +27,8 @@ State is exposed two ways: ``snapshot()`` (structured dict) and
 ``render_openmetrics()`` (Prometheus/OpenMetrics text for any
 scraper).  Usage::
 
-    from repro import telemetry
-    from repro.obs import ObsRuntime
+    from repro.obs.core import ObsRuntime
+    from repro.telemetry import core as telemetry
 
     runtime = ObsRuntime()                # default SLO rules installed
     prev = telemetry.set_live(runtime)
@@ -39,37 +39,3 @@ scraper).  Usage::
     telemetry.set_live(prev)
     runtime.close()
 """
-
-from __future__ import annotations
-
-from repro.obs.core import ObsRuntime
-from repro.obs.histogram import StreamingHistogram
-from repro.obs.openmetrics import render_openmetrics
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.resource import ResourceMonitor
-from repro.obs.rules import Alert, Rule, RuleEngine, default_rules, parse_rule
-from repro.obs.window import WindowedCounter
-from repro.obs.xproc import (
-    TraceContext,
-    WorkerTelemetry,
-    current_context,
-    ingest_payload,
-)
-
-__all__ = [
-    "ObsRuntime",
-    "TraceContext",
-    "WorkerTelemetry",
-    "current_context",
-    "ingest_payload",
-    "StreamingHistogram",
-    "WindowedCounter",
-    "SamplingProfiler",
-    "ResourceMonitor",
-    "Alert",
-    "Rule",
-    "RuleEngine",
-    "default_rules",
-    "parse_rule",
-    "render_openmetrics",
-]

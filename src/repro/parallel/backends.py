@@ -110,7 +110,7 @@ def make_executor(
     if format_name == "auto":
         # Imported lazily: the advisor sits above the format/kernel
         # layers this package belongs to.
-        from repro.perf.advisor import advise_format
+        from repro.perf.advisor.advisor import advise_format
 
         format_name = advise_format(
             matrix, threads=nworkers, backend=backend

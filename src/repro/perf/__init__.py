@@ -21,28 +21,3 @@ as a ``perf.attribution`` telemetry event when tracing is on; the HTML
 dashboard (:mod:`repro.bench.dashboard`) and the perf gate
 (:mod:`repro.bench.baseline`) consume those records downstream.
 """
-
-from repro.perf.attribution import (
-    Attribution,
-    attribute_cell,
-    compression_speedup_correlation,
-)
-from repro.perf.bytes import ByteBreakdown, bytes_per_iteration
-from repro.perf.imbalance import (
-    CallBalance,
-    ParallelReport,
-    call_balances,
-    summarize_parallel,
-)
-
-__all__ = [
-    "Attribution",
-    "attribute_cell",
-    "compression_speedup_correlation",
-    "ByteBreakdown",
-    "bytes_per_iteration",
-    "CallBalance",
-    "ParallelReport",
-    "call_balances",
-    "summarize_parallel",
-]

@@ -28,42 +28,3 @@ backend by hand.  The advisor closes that loop:
 an exhaustive oracle sweep (regret + top-1/top-3 hit rates in
 ``BENCH_advisor.json``).
 """
-
-from repro.perf.advisor.advisor import (
-    REGRET_BOUND,
-    RankedChoice,
-    advise,
-    advise_format,
-    history_from_attributions,
-    record_realized,
-)
-from repro.perf.advisor.features import MatrixFeatures, extract_features
-from repro.perf.advisor.model import (
-    Calibration,
-    CandidateConfig,
-    Prediction,
-    candidate_configs,
-    estimate_bytes,
-    load_calibration,
-    measure_calibration,
-    predict,
-)
-
-__all__ = [
-    "REGRET_BOUND",
-    "RankedChoice",
-    "advise",
-    "advise_format",
-    "history_from_attributions",
-    "record_realized",
-    "MatrixFeatures",
-    "extract_features",
-    "Calibration",
-    "CandidateConfig",
-    "Prediction",
-    "candidate_configs",
-    "estimate_bytes",
-    "load_calibration",
-    "measure_calibration",
-    "predict",
-]

@@ -3,10 +3,10 @@
 The guarded kernel chain (PR 5) established the pattern at the kernel
 tier: when the fast path fails, fall back to a slower bit-identical
 one and record the transition.  This module lifts that pattern to the
-**backend axis**.  A :class:`ResilientExecutor` wraps the whole
-``make_executor`` configuration space as an explicit ladder::
+**backend axis**.  A :class:`ResilientExecutor` wraps the
+``make_executor`` backends as an explicit ladder::
 
-    (process, mmap) -> (process, mem) -> (thread, mem) -> (serial, mem)
+    (process, mem) -> (thread, mem) -> (serial, mem)
 
 Each rung is guarded by its own circuit breaker
 (:class:`~repro.resilience.breaker.BreakerBoard`), so a rung that
@@ -25,8 +25,6 @@ What degrades and what doesn't:
   rung move the call down the ladder — a crashed pool, a torn shard
   file and an open shard breaker are all problems a simpler rung can
   sidestep.
-* :class:`~repro.errors.DeadlineExceeded` propagates immediately: a
-  spent wall-clock budget cannot be bought back by a slower backend.
 * Everything else (``TypeError``, ``MemoryError``, bad input shapes)
   propagates too — the ladder absorbs *infrastructure* failures, not
   caller bugs.
@@ -47,7 +45,6 @@ import numpy as np
 from repro.compress.encode_cache import DEFAULT_CACHE
 from repro.errors import (
     BreakerOpenError,
-    DeadlineExceeded,
     ExecutionError,
     FormatError,
     PartitionError,
@@ -57,7 +54,6 @@ from repro.formats.base import check_out_aliasing
 from repro.formats.conversions import to_csr
 from repro.parallel.backends import make_executor
 from repro.resilience.breaker import BreakerBoard
-from repro.resilience.policy import Deadline, RetryPolicy
 from repro.robust.guard import GuardedKernel
 from repro.telemetry import core as telemetry
 
@@ -66,34 +62,22 @@ __all__ = ["BACKEND_LADDER", "ResilientExecutor", "SerialSpMV", "ladder_for"]
 #: Backend rungs from most parallel to most boring.
 BACKEND_LADDER = ("process", "thread", "serial")
 
-#: Failures a rung transition may absorb (DeadlineExceeded is an
-#: ExecutionError subclass and is re-raised explicitly before this
-#: tuple is consulted).
+#: Failures a rung transition may absorb.
 _DEGRADABLE = (ExecutionError, StorageError, BreakerOpenError)
 
 
-def ladder_for(backend: str, storage: str) -> tuple[tuple[str, str], ...]:
-    """The degradation rungs starting from (*backend*, *storage*).
+def ladder_for(backend: str) -> tuple[tuple[str, str], ...]:
+    """The ``(backend, storage)`` degradation rungs starting at *backend*.
 
-    Storage degrades first (``mmap -> mem``: drop the disk dependency
-    before giving up parallelism) and stays degraded — a lower rung
-    never re-introduces the storage axis that just failed.  The final
-    rung is always ``("serial", "mem")``.
+    Every rung keeps its shards in memory; the final rung is always
+    ``("serial", "mem")``.
     """
     if backend not in BACKEND_LADDER:
         raise PartitionError(
             f"unknown backend {backend!r}; choose from {BACKEND_LADDER}"
         )
-    rungs: list[tuple[str, str]] = []
     start = BACKEND_LADDER.index(backend)
-    for b in BACKEND_LADDER[start:]:
-        if b == "serial":
-            rungs.append((b, "mem"))
-            continue
-        if storage == "mmap" and b == backend:
-            rungs.append((b, "mmap"))
-        rungs.append((b, "mem"))
-    return tuple(rungs)
+    return tuple((b, "mem") for b in BACKEND_LADDER[start:])
 
 
 class SerialSpMV:
@@ -123,14 +107,12 @@ class SerialSpMV:
         matrix,
         *,
         format_name: str = "csr",
-        convert_cache=None,
         **format_kwargs,
     ):
         csr = to_csr(matrix)
         self.nrows, self.ncols = csr.shape
         self._format_name = format_name
-        cache = DEFAULT_CACHE if convert_cache is None else convert_cache
-        self.chunk = cache.get_or_convert(
+        self.chunk = DEFAULT_CACHE.get_or_convert(
             csr, format_name, rows=(0, self.nrows), **format_kwargs
         )
         self._guard = GuardedKernel(self.chunk.name)
@@ -162,8 +144,8 @@ class ResilientExecutor:
     """``make_executor`` with an explicit degradation ladder around it.
 
     Parameters mirror :func:`~repro.parallel.backends.make_executor`
-    (*backend*/*storage* name the **top** rung); *retry_policy* and
-    *deadline* are forwarded to each rung's executor.  Each rung has
+    (*backend* names the **top** rung; every rung keeps its shards in
+    memory) and are forwarded to each rung's executor.  Each rung has
     one :class:`~repro.resilience.breaker.CircuitBreaker` with the
     stock threshold and cooldown: an open rung is skipped until its
     cooldown admits a half-open probe, which is how the ladder climbs
@@ -181,26 +163,15 @@ class ResilientExecutor:
         nworkers=None,
         *,
         backend: str = "process",
-        storage: str = "mem",
         format_name: str = "csr",
-        directory: str | None = None,
-        convert_cache=None,
-        chunk_timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-        deadline: Deadline | None = None,
         clock=time.monotonic,
         **format_kwargs,
     ):
         self._matrix = matrix
         self._nworkers = nworkers
         self._format_name = format_name
-        self._directory = directory
-        self._convert_cache = convert_cache
-        self._chunk_timeout = chunk_timeout
-        self._retry_policy = retry_policy
-        self._deadline = deadline
         self._format_kwargs = dict(format_kwargs)
-        self.ladder = ladder_for(backend, storage)
+        self.ladder = ladder_for(backend)
         self.breakers = BreakerBoard(clock=clock)
         self._executors: dict[tuple[str, str], object] = {}
         #: Rung of the last successful call (observability, reporting).
@@ -228,7 +199,6 @@ class ResilientExecutor:
             built = SerialSpMV(
                 self._matrix,
                 format_name=self._format_name,
-                convert_cache=self._convert_cache,
                 **self._format_kwargs,
             )
         else:
@@ -238,11 +208,6 @@ class ResilientExecutor:
                 backend=b,
                 storage=s,
                 format_name=self._format_name,
-                directory=self._directory if s == "mmap" else None,
-                convert_cache=self._convert_cache,
-                chunk_timeout=self._chunk_timeout,
-                retry_policy=self._retry_policy,
-                deadline=self._deadline,
                 **self._format_kwargs,
             )
         self._executors[rung] = built
@@ -281,9 +246,7 @@ class ResilientExecutor:
             raise ExecutionError("executor is closed")
         last_exc: BaseException | None = None
         last_rung: tuple[str, str] | None = None
-        for i, rung in enumerate(self.ladder):
-            if self._deadline is not None:
-                self._deadline.check("resilience.rung")
+        for rung in self.ladder:
             breaker = self.breakers.get(self._rung_key(rung))
             if not breaker.allow():
                 continue
@@ -293,8 +256,6 @@ class ResilientExecutor:
             try:
                 executor = self._executor_for(rung)
                 y = executor(x, out=out)
-            except DeadlineExceeded:
-                raise
             except _DEGRADABLE as exc:
                 breaker.record_failure()
                 self._evict(rung)

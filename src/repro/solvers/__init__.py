@@ -8,13 +8,3 @@ transparently, which is exactly the deployment story of CSR-DU/CSR-VI:
 encode once, iterate many times.  CG and power iteration cover that
 story; the examples and ``benchmarks/bench_solvers.py`` drive them.
 """
-
-from repro.solvers.cg import conjugate_gradient
-from repro.solvers.power import power_iteration
-from repro.solvers.result import SolveResult
-
-__all__ = [
-    "conjugate_gradient",
-    "power_iteration",
-    "SolveResult",
-]

@@ -4,36 +4,3 @@ See :mod:`repro.storage.shard` for the store, :mod:`repro.storage.
 provider` for the buffer backends, :mod:`repro.storage.stream` for
 checkpointed out-of-core SpMV.
 """
-
-from repro.storage.codec import CODEC_FORMATS, extract_fields, rebuild_matrix
-from repro.storage.provider import (
-    PROVIDER_KINDS,
-    BufferProvider,
-    FieldSpec,
-    MemoryProvider,
-    MmapProvider,
-    SharedMemoryProvider,
-    attach,
-    make_provider,
-)
-from repro.storage.shard import MANIFEST_NAME, ShardStore, attach_shard
-from repro.storage.stream import StreamResult, streamed_spmv
-
-__all__ = [
-    "CODEC_FORMATS",
-    "extract_fields",
-    "rebuild_matrix",
-    "PROVIDER_KINDS",
-    "BufferProvider",
-    "FieldSpec",
-    "MemoryProvider",
-    "MmapProvider",
-    "SharedMemoryProvider",
-    "attach",
-    "make_provider",
-    "MANIFEST_NAME",
-    "ShardStore",
-    "attach_shard",
-    "StreamResult",
-    "streamed_spmv",
-]

@@ -187,7 +187,7 @@ class ShardStore:
         csr = to_csr(matrix)
         if format_name == "auto":
             # Lazy import: the advisor sits above the storage layer.
-            from repro.perf.advisor import advise_format
+            from repro.perf.advisor.advisor import advise_format
 
             format_name = advise_format(csr, threads=nshards)
         nrows, ncols = csr.shape

@@ -9,8 +9,8 @@ and ``measure``.
 
 Usage::
 
-    from repro import telemetry
-    from repro.obs import ObsRuntime
+    from repro.obs.core import ObsRuntime
+    from repro.telemetry import core as telemetry
 
     telemetry.configure()                 # event log on
     telemetry.set_live(ObsRuntime())      # live aggregates on
@@ -31,47 +31,3 @@ counters), :mod:`~repro.telemetry.metrics` (the event vocabulary and
 its live series), :mod:`~repro.telemetry.export` (JSONL / Chrome trace
 / OpenMetrics / summaries).
 """
-
-from __future__ import annotations
-
-from repro.telemetry.core import (
-    NULL_SPAN,
-    Collector,
-    Event,
-    Sink,
-    configure,
-    count,
-    enabled,
-    gauge,
-    get_collector,
-    get_live,
-    get_sink,
-    metric_key,
-    observe,
-    set_collector,
-    set_live,
-    set_sink,
-    span,
-    traced,
-)
-
-__all__ = [
-    "NULL_SPAN",
-    "Collector",
-    "Event",
-    "Sink",
-    "configure",
-    "count",
-    "enabled",
-    "gauge",
-    "get_collector",
-    "get_live",
-    "get_sink",
-    "metric_key",
-    "observe",
-    "set_collector",
-    "set_live",
-    "set_sink",
-    "span",
-    "traced",
-]

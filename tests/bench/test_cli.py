@@ -102,7 +102,7 @@ class TestCLI:
 
 class TestTelemetryCLI:
     def test_trace_writes_jsonl(self, tmp_path, capsys):
-        from repro import telemetry
+        from repro.telemetry import core as telemetry
         from repro.telemetry.export import read_jsonl, validate_event
 
         trace = tmp_path / "t.jsonl"

@@ -115,6 +115,10 @@ def _count_calls(monkeypatch) -> dict[str, int]:
     pipeline binds them."""
     import repro.bench.harness as harness_mod
     import repro.formats.conversions as conv_mod
+    import repro.formats.csr as csr_mod
+    import repro.formats.csr_du as csr_du_mod
+    import repro.formats.csr_du_vi as csr_du_vi_mod
+    import repro.formats.csr_vi as csr_vi_mod
     import repro.kernels.plan as plan_mod
     import repro.machine.simulate as simulate_mod
     import repro.machine.traffic as traffic_mod
@@ -132,7 +136,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
     bindings = {
         "realize": (harness_mod,),
         "convert": (conv_mod, harness_mod),
-        "get_plan": (plan_mod,),
+        "get_plan": (plan_mod, csr_mod, csr_du_mod, csr_vi_mod, csr_du_vi_mod),
         "analyze_threads": (traffic_mod, simulate_mod, bytes_mod),
     }
     for name, modules in bindings.items():
@@ -147,7 +151,7 @@ class TestTracingAddsNoWork:
         """A collector only records: same calls, same results, and the
         same attributions except the wall-clock setup time."""
         import repro.bench.experiments as experiments
-        from repro import telemetry
+        from repro.telemetry import core as telemetry
 
         def run(traced):
             captured = []

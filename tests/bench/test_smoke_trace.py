@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from repro import telemetry
+from repro.telemetry import core as telemetry
 from repro.telemetry.export import read_jsonl
 
 _TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools" / "smoke_trace.py"

@@ -18,7 +18,8 @@ from repro.compress.delta import _POLICIES
 from repro.compress.encode_batched import encode_ctl_batched, pack_value_index
 from repro.compress.unit_table import scan_units
 from repro.errors import EncodingError, FormatError
-from repro.formats import CSRDUMatrix, CSRMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
 from tests.conftest import random_sparse_dense
 
 TABLE_FIELDS = (

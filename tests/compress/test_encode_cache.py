@@ -11,7 +11,7 @@ from repro.compress.encode_cache import (
 )
 from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
-from repro.telemetry import Collector, metric_key, set_collector
+from repro.telemetry.core import Collector, metric_key, set_collector
 from tests.conftest import random_sparse_dense
 
 

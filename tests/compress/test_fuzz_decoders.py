@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.compress.ctl import CtlReader, decode_units
 from repro.errors import EncodingError, ReproError
-from repro.formats import CSRDUMatrix, CSRMatrix, DCSRMatrix
-from repro.formats.dcsr import decode_dcsr
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.dcsr import DCSRMatrix, decode_dcsr
 
 from tests.conftest import random_sparse_dense
 

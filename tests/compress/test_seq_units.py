@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.compress.ctl import FLAG_SEQ, CtlReader, CtlWriter, decode_units
 from repro.compress.delta import MIN_SEQ_RUN, Unit, split_row_units
 from repro.errors import EncodingError
-from repro.formats import CSRDUMatrix, convert
-from repro.formats.conversions import to_csr
+from repro.formats.conversions import convert, to_csr
+from repro.formats.csr_du import CSRDUMatrix
 from repro.matrices.generators import diagonal_bands
 
 

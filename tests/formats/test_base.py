@@ -1,19 +1,12 @@
-"""Tests for the format base class, Storage accounting and the registry."""
+"""Tests for the format base class, Storage accounting and the format table."""
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import (
-    CSRMatrix,
-    available_formats,
-    get_format,
-)
-from repro.formats.base import (
-    Storage,
-    register_format,
-    working_set_bytes,
-)
+from repro.formats.base import Storage, working_set_bytes
+from repro.formats.conversions import FORMATS, available_formats, convert
+from repro.formats.csr import CSRMatrix
 
 
 class TestStorage:
@@ -51,25 +44,11 @@ class TestRegistry:
         )
 
     def test_get_format(self):
-        assert get_format("csr") is CSRMatrix
+        assert FORMATS["csr"] is CSRMatrix
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, paper_matrix):
         with pytest.raises(FormatError, match="unknown format"):
-            get_format("csr-magic")
-
-    def test_duplicate_registration_rejected(self):
-        class Fake:
-            name = "csr"
-
-        with pytest.raises(FormatError, match="already registered"):
-            register_format(Fake)
-
-    def test_unnamed_registration_rejected(self):
-        class Nameless:
-            name = ""
-
-        with pytest.raises(FormatError):
-            register_format(Nameless)
+            convert(paper_matrix, "csr-magic")
 
 
 class TestSparseMatrixBasics:

@@ -1,10 +1,11 @@
-"""All-pairs conversion tests through the registry bridge."""
+"""All-pairs conversion tests through the CSR bridge."""
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, available_formats, convert, to_csr
+from repro.formats.conversions import available_formats, convert, to_csr
+from repro.formats.csr import CSRMatrix
 
 from tests.conftest import random_sparse_dense
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import COOMatrix, CSRMatrix
+from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 
 from tests.conftest import random_sparse_dense
 

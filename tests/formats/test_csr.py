@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import COOMatrix, CSRMatrix
+from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 
 from tests.conftest import random_sparse_dense
 

@@ -5,9 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import FormatError
-from repro.formats import CSRDUMatrix, CSRDUVIMatrix, CSRMatrix, convert
 from repro.compress.ctl import FLAG_NR, FLAG_SEQ, CtlReader, decode_units
+from repro.errors import FormatError
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
 from repro.kernels.reference import spmv_csr_du_reference
 from repro.matrices.generators import dense_band, powerlaw_graph, stencil_2d
 from repro.util.bitops import encode_varint

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRDUMatrix, CSRDUVIMatrix, CSRMatrix, CSRVIMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
+from repro.formats.csr_vi import CSRVIMatrix
 
 from tests.conftest import random_sparse_dense
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.compress.unique import TTU_THRESHOLD
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, CSRVIMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_vi import CSRVIMatrix
 
 from tests.conftest import random_sparse_dense
 

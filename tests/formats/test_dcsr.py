@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import EncodingError, FormatError
-from repro.formats import CSRMatrix, DCSRMatrix
+from repro.formats.csr import CSRMatrix
 from repro.formats.dcsr import (
-    CMD_DELTA8,
     CMD_DELTA16,
+    CMD_DELTA8,
     CMD_NEWROW,
     CMD_RUN8,
     MIN_RUN,
+    DCSRMatrix,
     decode_dcsr,
     encode_dcsr,
 )
@@ -123,7 +124,7 @@ class TestFormat:
 
     def test_comparable_to_csr_du(self, paper_matrix):
         """Sanity for the Section III-B comparison: similar byte counts."""
-        from repro.formats import CSRDUMatrix
+        from repro.formats.csr_du import CSRDUMatrix
 
         dcsr = DCSRMatrix.from_csr(paper_matrix)
         du = CSRDUMatrix.from_csr(paper_matrix)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.formats import CSRMatrix, convert, to_csr
+from repro.formats.conversions import convert, to_csr
+from repro.formats.csr import CSRMatrix
 
 FORMATS = ("coo", "csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr")
 

@@ -6,13 +6,14 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_format_matrix
 from repro.compress.unique import TTU_THRESHOLD
-from repro.formats import convert, to_csr, working_set_bytes
+from repro.formats.base import working_set_bytes
+from repro.formats.conversions import convert, to_csr
 from repro.kernels.registry import get_kernel
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core
 from repro.matrices.collection import entry, realize
 from repro.parallel.executor import ParallelSpMV
-from repro.solvers import conjugate_gradient
+from repro.solvers.cg import conjugate_gradient
 
 SCALE = 1 / 64
 FORMATS = ("csr", "csr-du", "csr-vi", "csr-du-vi", "dcsr")
@@ -52,7 +53,7 @@ class TestPipelineConsistency:
         n = min(120, dense.shape[0])
         spd = dense[:n, :n] + dense[:n, :n].T
         np.fill_diagonal(spd, np.abs(spd).sum(axis=1) + 1.0)
-        from repro.formats import CSRMatrix
+        from repro.formats.csr import CSRMatrix
 
         A = convert(CSRMatrix.from_dense(spd), "csr-vi")
         x_true = np.random.default_rng(2).random(n)

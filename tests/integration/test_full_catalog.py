@@ -4,7 +4,8 @@ convertible, at a tiny scale."""
 import numpy as np
 import pytest
 
-from repro.formats import convert, working_set_bytes
+from repro.formats.base import working_set_bytes
+from repro.formats.conversions import convert
 from repro.matrices.collection import (
     ALL_IDS,
     M0_IDS,

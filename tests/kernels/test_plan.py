@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-import repro.kernels.plan as plan_mod
+import repro.formats.csr_du as csr_du_mod
 from repro.errors import FormatError
-from repro.formats import convert
+from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
 from repro.kernels.plan import (
     CSRDUPlan,
@@ -80,7 +80,7 @@ class TestNoSilentFallback:
         def boom(matrix):
             raise RuntimeError("plan layer down")
 
-        monkeypatch.setattr(plan_mod, "get_plan", boom)
+        monkeypatch.setattr(csr_du_mod, "get_plan", boom)
         with pytest.raises(RuntimeError, match="plan layer down"):
             du.spmv(np.zeros(du.ncols))
 

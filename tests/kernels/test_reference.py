@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.formats import CSRDUMatrix, CSRMatrix, CSRVIMatrix, DCSRMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_vi import CSRVIMatrix
+from repro.formats.dcsr import DCSRMatrix
 from repro.kernels.reference import (
     spmv_csr_du_reference,
     spmv_csr_reference,

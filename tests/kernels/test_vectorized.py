@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import (
-    CSRDUMatrix,
-    CSRDUVIMatrix,
-    CSRMatrix,
-    CSRVIMatrix,
-)
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
+from repro.formats.csr_vi import CSRVIMatrix
 
 from tests.conftest import random_sparse_dense
 
@@ -64,7 +62,7 @@ class TestRegistry:
         assert ("csr-du", "reference") in available_kernels()
 
     def test_cached_tier_for_all_formats(self, paper_matrix, paper_dense):
-        from repro.formats import available_formats, convert
+        from repro.formats.conversions import available_formats, convert
         from repro.kernels.registry import get_kernel
 
         x = np.arange(6.0)

@@ -7,7 +7,7 @@ attainable rate and whether the cell is memory bound.
 
 import pytest
 
-from repro.formats import convert
+from repro.formats.conversions import convert
 from repro.machine.costmodel import default_cost_model
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core

@@ -3,7 +3,7 @@ hold for representative matrices."""
 
 import pytest
 
-from repro.formats import convert
+from repro.formats.conversions import convert
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core
 from repro.matrices.collection import realize

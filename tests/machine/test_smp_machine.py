@@ -47,7 +47,7 @@ class TestSmpMachine:
             smp_machine(4, cores_per_die=0)
 
     def test_simulation_runs_at_32_cores(self):
-        from repro.formats import convert
+        from repro.formats.conversions import convert
         from repro.machine.simulate import simulate_spmv
         from repro.matrices.collection import realize
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import MachineModelError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core
 from repro.machine.tracesim import (

@@ -6,14 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineModelError
-from repro.formats import (
-    CSRDUMatrix,
-    CSRDUVIMatrix,
-    CSRMatrix,
-    CSRVIMatrix,
-    DCSRMatrix,
+from repro.formats.csr import CSRMatrix
+from repro.formats.csr_du import CSRDUMatrix
+from repro.formats.csr_du_vi import CSRDUVIMatrix
+from repro.formats.csr_vi import CSRVIMatrix
+from repro.formats.dcsr import DCSRMatrix
+from repro.machine.traffic import (
+    LINE_SIZE,
+    _distinct_cols_bytes,
+    analyze_threads,
 )
-from repro.machine.traffic import LINE_SIZE, _distinct_cols_bytes, analyze_threads
 
 from tests.conftest import random_sparse_dense
 
@@ -109,7 +111,7 @@ class TestValidation:
             analyze_threads(csr, 0)
 
     def test_unsupported_format(self):
-        from repro.formats import COOMatrix
+        from repro.formats.coo import COOMatrix
 
         coo = COOMatrix.from_dense(np.eye(3))
         with pytest.raises(MachineModelError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix
+from repro.formats.csr import CSRMatrix
 from repro.matrices.mmio import read_matrix_market, write_matrix_market
 
 from tests.conftest import random_sparse_dense

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, convert
-from repro.formats.conversions import to_csr
+from repro.formats.conversions import convert, to_csr
+from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import random_uniform, stencil_2d
 from repro.matrices.reorder import (
     apply_symmetric_permutation,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.formats import CSRMatrix
 from repro.formats.base import working_set_bytes
+from repro.formats.csr import CSRMatrix
 from repro.matrices.stats import MatrixStats, compute_stats
 
 from tests.conftest import random_sparse_dense

@@ -6,10 +6,10 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.obs.core import ObsRuntime
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.resource import ResourceMonitor, gc_collections, rss_bytes
+from repro.telemetry import core as telemetry
 
 
 class FakeClock:

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.formats.csr import CSRMatrix
 from repro.obs.core import ObsRuntime
 from repro.obs.histogram import DEFAULT_GROWTH, StreamingHistogram
@@ -23,7 +22,8 @@ from repro.obs.xproc import (
     ingest_payload,
 )
 from repro.parallel.process_executor import ProcessParallelSpMV
-from repro.telemetry import Collector, Sink, metric_key
+from repro.telemetry import core as telemetry
+from repro.telemetry.core import Collector, Sink, metric_key
 from tests.conftest import random_sparse_dense
 
 #: Documented geometric-midpoint percentile bound: sqrt(growth) - 1.

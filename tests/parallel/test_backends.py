@@ -17,14 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, PartitionError, StorageError
-from repro.formats import CSRMatrix
-from repro.parallel import (
-    BACKENDS,
-    STORAGES,
-    ParallelSpMV,
-    ProcessParallelSpMV,
-    make_executor,
-)
+from repro.formats.csr import CSRMatrix
+from repro.parallel.backends import BACKENDS, STORAGES, make_executor
+from repro.parallel.executor import ParallelSpMV
+from repro.parallel.process_executor import ProcessParallelSpMV
 from repro.telemetry import core as telemetry
 
 from tests.conftest import random_sparse_dense

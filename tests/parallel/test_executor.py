@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
 
 from tests.conftest import random_sparse_dense
@@ -103,7 +104,7 @@ class TestExecutorRobustness:
 
     @pytest.fixture
     def collector(self):
-        from repro import telemetry
+        from repro.telemetry import core as telemetry
 
         prev = telemetry.set_collector(telemetry.Collector())
         try:
@@ -126,7 +127,7 @@ class TestExecutorRobustness:
         """An in-place corrupted cached chunk is invalidated, re-encoded
         and retried; the answer is the clean run's exact bits."""
         from repro.compress.encode_cache import ConvertCache
-        from repro.robust import inject
+        from repro.robust.inject import inject
 
         x = np.random.default_rng(31).random(csr.ncols)
         with ParallelSpMV(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.formats import CSRMatrix
+from repro.formats.csr import CSRMatrix
 from repro.parallel.partition import balance_by_nnz, row_partition
 
 from tests.conftest import random_sparse_dense

@@ -11,7 +11,6 @@ one shared budget.
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.compress.encode_cache import ConvertCache
 from repro.errors import (
     DECODE_ERRORS,
@@ -19,10 +18,12 @@ from repro.errors import (
     ExecutionError,
     StorageError,
 )
-from repro.formats import CSRMatrix
-from repro.parallel import ParallelSpMV, make_executor
+from repro.formats.csr import CSRMatrix
+from repro.parallel.backends import make_executor
+from repro.parallel.executor import ParallelSpMV
 from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.telemetry import core as telemetry
 from tests.conftest import random_sparse_dense
 
 

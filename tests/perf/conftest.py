@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import Collector, set_collector
+from repro.telemetry.core import Collector, set_collector
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 The regret safety contract is exercised two ways: structurally (plain
 CSR is always in the candidate set, so the pick can never be
 *predicted* worse than it) and live (the picked configuration, actually
-measured, stays within :data:`~repro.perf.advisor.REGRET_BOUND` of the
+measured, stays within :data:`~repro.perf.advisor.advisor.REGRET_BOUND` of the
 measured plain-CSR baseline on a real matrix).  ``format_name="auto"``
 must be a pure selector: bit-identical output to the explicit pick,
 whether it resolves through :func:`~repro.parallel.backends
@@ -19,24 +19,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.errors import ReproError
 from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import banded_random, stencil_2d
 from repro.matrices.values import quantized_values, set_matrix_values
 from repro.parallel.backends import default_workers, make_executor
-from repro.perf.advisor import (
+from repro.perf.advisor.advisor import (
     REGRET_BOUND,
-    Calibration,
     RankedChoice,
     advise,
     advise_format,
     history_from_attributions,
-    load_calibration,
     record_realized,
 )
-from repro.perf.advisor.model import ADVISOR_FORMATS, save_calibration
-from repro.storage import ShardStore
+from repro.perf.advisor.model import (
+    ADVISOR_FORMATS,
+    Calibration,
+    load_calibration,
+    save_calibration,
+)
+from repro.storage.shard import ShardStore
+from repro.telemetry import core as telemetry
 from repro.util.timing import measure
 from tests.conftest import PAPER_DENSE
 

@@ -21,7 +21,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.csr_du import CSRDUMatrix
 from repro.matrices.generators import dense_band, stencil_2d
 from repro.matrices.values import quantized_values, set_matrix_values
-from repro.perf.advisor import MatrixFeatures, extract_features
+from repro.perf.advisor.features import MatrixFeatures, extract_features
 from tests.conftest import PAPER_DENSE, random_sparse_dense
 
 

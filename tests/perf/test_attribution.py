@@ -16,7 +16,7 @@ from repro.perf.attribution import (
     record,
 )
 from repro.perf.bytes import bytes_per_iteration
-from repro.telemetry import metric_key
+from repro.telemetry.core import metric_key
 
 
 @pytest.fixture(scope="module")

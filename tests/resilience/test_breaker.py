@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro import telemetry
 from repro.errors import BreakerOpenError, PartitionError
 from repro.resilience.breaker import (
     CLOSED,
@@ -13,6 +12,7 @@ from repro.resilience.breaker import (
     BreakerBoard,
     CircuitBreaker,
 )
+from repro.telemetry import core as telemetry
 
 
 def make(threshold=3, cooldown=5.0):

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_sparse_dense
-from repro import telemetry
 from repro.errors import (
     BreakerOpenError,
-    DeadlineExceeded,
     FormatError,
     PartitionError,
 )
 from repro.formats.csr import CSRMatrix
 from repro.resilience import chaos
 from repro.resilience.degrade import ResilientExecutor, SerialSpMV, ladder_for
-from repro.resilience.policy import Deadline
+from repro.telemetry import core as telemetry
 
 
 @pytest.fixture
@@ -34,41 +32,25 @@ def _disarm():
 
 
 class TestLadderFor:
-    def test_process_mmap_is_four_rungs(self):
-        assert ladder_for("process", "mmap") == (
-            ("process", "mmap"),
-            ("process", "mem"),
-            ("thread", "mem"),
-            ("serial", "mem"),
-        )
-
     def test_process_mem_skips_the_mmap_rung(self):
-        assert ladder_for("process", "mem") == (
+        assert ladder_for("process") == (
             ("process", "mem"),
             ("thread", "mem"),
             ("serial", "mem"),
         )
 
     def test_thread_mem(self):
-        assert ladder_for("thread", "mem") == (
+        assert ladder_for("thread") == (
             ("thread", "mem"),
             ("serial", "mem"),
         )
 
     def test_serial_is_its_own_floor(self):
-        assert ladder_for("serial", "mem") == (("serial", "mem"),)
-
-    def test_storage_stays_degraded_below_the_failing_rung(self):
-        # thread+mmap: mmap applies only to the starting backend.
-        assert ladder_for("thread", "mmap") == (
-            ("thread", "mmap"),
-            ("thread", "mem"),
-            ("serial", "mem"),
-        )
+        assert ladder_for("serial") == (("serial", "mem"),)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(PartitionError):
-            ladder_for("gpu", "mem")
+            ladder_for("gpu")
 
 
 class TestSerialSpMV:
@@ -97,9 +79,7 @@ class TestResilientExecutor:
     def test_healthy_top_rung_no_degradation(self, csr, x):
         prev = telemetry.set_collector(telemetry.Collector())
         try:
-            with ResilientExecutor(
-                csr, 2, backend="thread", storage="mem"
-            ) as ex:
+            with ResilientExecutor(csr, 2, backend="thread") as ex:
                 got = ex(x)
             events = telemetry.get_collector().snapshot()
         finally:
@@ -118,9 +98,7 @@ class TestResilientExecutor:
         )
         prev = telemetry.set_collector(telemetry.Collector())
         try:
-            with ResilientExecutor(
-                csr, 2, backend="thread", storage="mem"
-            ) as ex:
+            with ResilientExecutor(csr, 2, backend="thread") as ex:
                 got = ex(x)
                 rung = ex.active_rung
             events = telemetry.get_collector().snapshot()
@@ -137,21 +115,10 @@ class TestResilientExecutor:
         )
         assert attrs["error"] == "ExecutionError"
 
-    def test_deadline_exceeded_is_not_absorbed(self, csr, x):
-        now = [0.0]
-        deadline = Deadline(1.0, clock=lambda: now[0])
-        ex = ResilientExecutor(
-            csr, 2, backend="thread", storage="mem", deadline=deadline
-        )
-        now[0] = 5.0
-        with pytest.raises(DeadlineExceeded):
-            ex(x)
-        ex.close()
-
     def test_all_rungs_open_raises_breaker_open(self, csr, x):
         now = [0.0]
         ex = ResilientExecutor(
-            csr, 2, backend="thread", storage="mem", clock=lambda: now[0]
+            csr, 2, backend="thread", clock=lambda: now[0]
         )
         # The stock breaker opens on the third consecutive failure.
         for rung in ex.ladder:
@@ -175,7 +142,7 @@ class TestResilientExecutor:
             exc_factory=lambda: OSError("injected"),
         )
         ex = ResilientExecutor(
-            csr, 2, backend="thread", storage="mem", clock=lambda: now[0]
+            csr, 2, backend="thread", clock=lambda: now[0]
         )
         thread_rung = ex.breakers.get(ex._rung_key(("thread", "mem")))
         # Three failing calls open the thread rung's stock breaker; each
@@ -203,14 +170,14 @@ class TestResilientExecutor:
         ex.close()
 
     def test_caller_bugs_propagate(self, csr):
-        with ResilientExecutor(csr, 2, backend="thread", storage="mem") as ex:
+        with ResilientExecutor(csr, 2, backend="thread") as ex:
             with pytest.raises(FormatError):
                 ex(np.zeros(csr.shape[1] + 1))
             # No degradation happened: the top rung is still active.
             assert ex.active_rung == ("thread", "mem")
 
     def test_closed_executor_refuses(self, csr, x):
-        ex = ResilientExecutor(csr, 2, backend="thread", storage="mem")
+        ex = ResilientExecutor(csr, 2, backend="thread")
         ex.close()
         from repro.errors import ExecutionError
 

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro import telemetry
 from repro.errors import (
     DECODE_ERRORS,
     DeadlineExceeded,
@@ -20,6 +19,7 @@ from repro.resilience.policy import (
     RetryBudget,
     RetryPolicy,
 )
+from repro.telemetry import core as telemetry
 
 
 class TestClassify:

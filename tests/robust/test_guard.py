@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.errors import EncodingError, FormatError, IntegrityError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.kernels.registry import FALLBACK_ORDER, fallback_chain, get_kernel
-from repro.robust import GuardedKernel, guarded_spmv, inject
+from repro.robust.guard import GuardedKernel, guarded_spmv
+from repro.robust.inject import inject
+from repro.telemetry import core as telemetry
 
 from tests.conftest import random_sparse_dense
 

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.formats import CSRMatrix, convert
-from repro.robust import (
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
+from repro.robust.inject import (
     FAULTS,
     FaultNotApplicable,
     applicable_faults,
     get_fault,
     inject,
-    seal,
 )
+from repro.robust.validate import seal
 
 from tests.conftest import random_sparse_dense
 

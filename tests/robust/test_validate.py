@@ -7,7 +7,8 @@ import pytest
 
 from repro.compress.ctl import FLAG_NR, FLAG_RJMP, FLAG_SEQ
 from repro.errors import IntegrityError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.robust.validate import (
     SEAL_ATTR,
     check_seal,

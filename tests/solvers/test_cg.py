@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, FormatError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import stencil_2d
 from repro.matrices.values import set_matrix_values
-from repro.solvers import conjugate_gradient
+from repro.solvers.cg import conjugate_gradient
 
 
 def poisson_system(nx=8, ny=8, seed=0):

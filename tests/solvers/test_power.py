@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, convert
-from repro.solvers import power_iteration
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
+from repro.solvers.power import power_iteration
 
 
 class TestPowerIteration:

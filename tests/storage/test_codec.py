@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.formats import CSRMatrix, convert
-from repro.storage import CODEC_FORMATS, extract_fields, rebuild_matrix
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
+from repro.storage.codec import CODEC_FORMATS, extract_fields, rebuild_matrix
 
 from tests.conftest import random_sparse_dense
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import IntegrityError, StorageError
-from repro.storage import attach, make_provider
 from repro.storage.provider import (
     FieldSpec,
+    attach,
+    make_provider,
     pack_layout,
     write_fields,
 )

@@ -8,8 +8,10 @@ import pytest
 
 from repro.compress.encode_cache import ConvertCache
 from repro.errors import IntegrityError, StorageError
-from repro.formats import CSRMatrix, convert
-from repro.storage import CODEC_FORMATS, MANIFEST_NAME, ShardStore, attach_shard
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
+from repro.storage.codec import CODEC_FORMATS
+from repro.storage.shard import MANIFEST_NAME, ShardStore, attach_shard
 
 from tests.conftest import random_sparse_dense
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.formats import CSRMatrix
-from repro.storage import ShardStore, streamed_spmv
-from repro.storage.stream import PROGRESS_NAME
+from repro.formats.csr import CSRMatrix
+from repro.storage.shard import ShardStore
+from repro.storage.stream import PROGRESS_NAME, streamed_spmv
 
 from tests.conftest import random_sparse_dense
 

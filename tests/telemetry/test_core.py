@@ -7,12 +7,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
 from repro.parallel.executor import ParallelSpMV
-from repro.telemetry import Collector, metric_key, set_collector
-from repro.telemetry.core import NULL_SPAN
+from repro.telemetry import core as telemetry
+from repro.telemetry.core import (
+    NULL_SPAN,
+    Collector,
+    metric_key,
+    set_collector,
+)
 from tests.conftest import random_sparse_dense
 
 

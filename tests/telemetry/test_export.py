@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro import telemetry
 from repro.errors import TelemetryError
+from repro.telemetry import core as telemetry
 from repro.telemetry.export import (
     collector_metrics_snapshot,
     events_as_dicts,

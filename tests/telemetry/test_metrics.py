@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.compress.ctl import encode_ctl_reference
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
 from repro.machine.simulate import simulate_spmv
 from repro.machine.topology import clovertown_8core
 from repro.parallel.partition import row_partition
+from repro.telemetry import core as telemetry
 from repro.telemetry.core import metric_key
 from repro.telemetry.metrics import KNOWN_EVENTS, WIDTH_LABELS
 from tests.conftest import random_sparse_dense

@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.bench.harness import ExperimentConfig, run_format_matrix
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
-from repro.obs import ObsRuntime
+from repro.obs.core import ObsRuntime
 from repro.parallel.executor import ParallelSpMV
-from repro.telemetry import Collector, Sink
+from repro.telemetry import core as telemetry
+from repro.telemetry.core import Collector, Sink
 from tests.conftest import random_sparse_dense
 
 

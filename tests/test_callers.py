@@ -26,6 +26,11 @@ passes a parameter by keyword, or by position when enough positional
 arguments reach it; callees match by bare name (``cls(...)`` inside a
 class is that class), so a forwarding ``k=k`` counts and the scan only
 finds values no code can set.
+
+A third scan keeps one import path per name: every package
+``__init__.py`` holds its docstring and nothing else, except the root
+``repro``, which keeps the quick-tour names of :data:`ROOT_EXPORTS`,
+each with a caller outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -145,18 +150,23 @@ PARAM_ALLOWLIST = {
         "test seam: a small LRU makes eviction observable in a few encodes"
     ),
     **{
-        f"repro.resilience.degrade:ResilientExecutor.__init__({name})": (
-            "public entry point: the ladder takes make_executor's settings "
-            "and forwards them to every rung"
+        f"repro.parallel.backends:make_executor({name})": (
+            "public entry point: make_executor takes the executors' settings "
+            "and forwards them to the one it builds"
         )
-        for name in (
-            "directory",
-            "convert_cache",
-            "chunk_timeout",
-            "retry_policy",
-            "deadline",
-        )
+        for name in ("directory", "convert_cache", "chunk_timeout", "retry_policy")
     },
+}
+
+#: Quick-tour name the root ``repro`` package keeps -> a file outside
+#: ``tests/`` that imports it from ``repro``.
+ROOT_EXPORTS = {
+    "CSRMatrix": "examples/quickstart.py",
+    "CSRDUMatrix": "src/repro/__init__.py",  # the docstring's quick tour
+    "CSRVIMatrix": "src/repro/__init__.py",  # the docstring's quick tour
+    "convert": "examples/quickstart.py",
+    "available_formats": "examples/quickstart.py",
+    "__version__": "src/repro/bench/record.py",
 }
 
 
@@ -357,3 +367,45 @@ def test_every_param_allowlist_entry_has_a_reason():
         k for k, why in PARAM_ALLOWLIST.items() if not PARAM_REASON.match(why)
     )
     assert not bad, bad
+
+
+def _root_names(stmt: ast.stmt) -> list[str] | None:
+    """Names a root-``__init__`` statement binds, if it only re-exports."""
+    if isinstance(stmt, ast.ImportFrom) and stmt.module and stmt.level == 0:
+        return [alias.asname or alias.name for alias in stmt.names]
+    if isinstance(stmt, ast.Assign) and all(
+        isinstance(target, ast.Name) for target in stmt.targets
+    ):
+        return [target.id for target in stmt.targets]
+    return None
+
+
+def test_package_inits_hold_only_docstrings():
+    """One import path per name: package ``__init__`` files re-export nothing.
+
+    The root keeps the quick tour, :data:`ROOT_EXPORTS`, and nothing else.
+    """
+    extra, root_names = [], set()
+    for path in sorted((SRC / "repro").rglob("__init__.py")):
+        body = ast.parse(path.read_text(), str(path)).body
+        if body and isinstance(body[0], ast.Expr) and isinstance(
+            getattr(body[0], "value", None), ast.Constant
+        ):
+            body = body[1:]
+        for stmt in body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            names = _root_names(stmt) if path.parent == SRC / "repro" else None
+            if names and set(names) <= set(ROOT_EXPORTS):
+                root_names.update(names)
+                continue
+            rel = path.relative_to(ROOT).as_posix()
+            extra.append(f"{rel}:{stmt.lineno}: {ast.unparse(stmt)[:60]}")
+    assert not extra, f"package __init__ statements beyond the docstring: {extra}"
+    assert root_names == set(ROOT_EXPORTS), sorted(set(ROOT_EXPORTS) ^ root_names)
+    uncalled = []
+    for name, caller in ROOT_EXPORTS.items():
+        lines = re.findall(r"from repro import ([\w, ]+)", (ROOT / caller).read_text())
+        if not any(name in line.replace(" ", "").split(",") for line in lines):
+            uncalled.append(f"{caller} no longer imports {name} from repro")
+    assert not uncalled, uncalled

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, convert
+from repro.formats.conversions import convert
+from repro.formats.csr import CSRMatrix
 from repro.io import load_matrix, save_matrix
 
 from tests.conftest import random_sparse_dense

@@ -224,8 +224,10 @@ def main():
     args = ap.parse_args()
 
     if args.advisor_out:
-        from repro.perf.advisor import measure_calibration
-        from repro.perf.advisor.model import save_calibration
+        from repro.perf.advisor.model import (
+            measure_calibration,
+            save_calibration,
+        )
 
         t0 = time.time()
         cal = measure_calibration()

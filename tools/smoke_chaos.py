@@ -69,7 +69,6 @@ import time
 import numpy as np
 
 import repro
-from repro import telemetry
 from repro.errors import (
     BreakerOpenError,
     DeadlineExceeded,
@@ -82,6 +81,7 @@ from repro.parallel.process_executor import ProcessParallelSpMV
 from repro.resilience import chaos
 from repro.resilience.degrade import ResilientExecutor
 from repro.resilience.policy import Deadline, RetryPolicy
+from repro.telemetry import core as telemetry
 from repro.telemetry.export import validate_event
 from repro.telemetry.metrics import KNOWN_EVENTS
 
@@ -286,7 +286,7 @@ def scenario_mmap_truncate(n: int = 96, nworkers: int = 2) -> str:
 
 
 def scenario_degrade_ladder(n: int = 96, nworkers: int = 2) -> str:
-    from repro.obs import ObsRuntime
+    from repro.obs.core import ObsRuntime
     from repro.obs.rules import default_rules
     from repro.parallel.executor import ParallelSpMV
 
@@ -308,7 +308,7 @@ def scenario_degrade_ladder(n: int = 96, nworkers: int = 2) -> str:
     prev_runtime = telemetry.set_live(runtime)
     try:
         with ResilientExecutor(
-            csr, nworkers, backend="process", storage="mem", format_name="csr"
+            csr, nworkers, backend="process", format_name="csr"
         ) as rex:
             got = rex(x)
             rung = rex.active_rung

@@ -29,7 +29,8 @@ import numpy as np
 from repro.errors import ReproError
 from repro.formats.conversions import convert
 from repro.formats.csr import CSRMatrix
-from repro.robust import FaultNotApplicable, applicable_faults, inject, seal
+from repro.robust.inject import FaultNotApplicable, applicable_faults, inject
+from repro.robust.validate import seal
 
 #: Compressed formats the adversarial sweep targets.
 FORMATS = ("csr", "csr-vi", "csr-du", "csr-du-vi")

@@ -111,9 +111,9 @@ def check_parallel_chunks(nthreads: int = 4, calls: int = 2) -> int:
     """
     import numpy as np
 
-    from repro import telemetry
     from repro.formats.csr import CSRMatrix
     from repro.parallel.executor import ParallelSpMV
+    from repro.telemetry import core as telemetry
 
     rng = np.random.default_rng(17)
     dense = (rng.random((96, 96)) < 0.1) * rng.random((96, 96))
@@ -179,14 +179,15 @@ def check_fault_events() -> int:
     """
     import numpy as np
 
-    from repro import telemetry
     from repro.compress.encode_cache import ConvertCache
     from repro.errors import EncodingError
     from repro.formats.conversions import convert
     from repro.formats.csr import CSRMatrix
     from repro.kernels.registry import get_kernel
     from repro.parallel.executor import ParallelSpMV
-    from repro.robust import GuardedKernel, inject
+    from repro.robust.guard import GuardedKernel
+    from repro.robust.inject import inject
+    from repro.telemetry import core as telemetry
 
     rng = np.random.default_rng(23)
     dense = (rng.random((80, 80)) < 0.1) * rng.random((80, 80))
@@ -275,16 +276,16 @@ def check_obs() -> int:
     """
     import numpy as np
 
-    from repro import telemetry
     from repro.compress.encode_cache import ConvertCache
     from repro.errors import EncodingError
     from repro.formats.conversions import convert
     from repro.formats.csr import CSRMatrix
     from repro.kernels.registry import get_kernel
-    from repro.obs import ObsRuntime
+    from repro.obs.core import ObsRuntime
     from repro.obs.resource import ResourceMonitor
-    from repro.robust import GuardedKernel
     from repro.parallel.executor import ParallelSpMV
+    from repro.robust.guard import GuardedKernel
+    from repro.telemetry import core as telemetry
 
     rng = np.random.default_rng(31)
     dense = (rng.random((96, 96)) < 0.1) * rng.random((96, 96))
@@ -392,10 +393,10 @@ def check_backend_labels() -> int:
     """
     import numpy as np
 
-    from repro import telemetry
     from repro.formats.csr import CSRMatrix
-    from repro.obs import ObsRuntime
-    from repro.parallel import make_executor
+    from repro.obs.core import ObsRuntime
+    from repro.parallel.backends import make_executor
+    from repro.telemetry import core as telemetry
 
     rng = np.random.default_rng(37)
     dense = (rng.random((64, 64)) < 0.12) * rng.random((64, 64))
@@ -491,11 +492,11 @@ def check_xproc(
 
     import numpy as np
 
-    from repro import telemetry
     from repro.formats.csr import CSRMatrix
-    from repro.obs import ObsRuntime
-    from repro.parallel import make_executor
+    from repro.obs.core import ObsRuntime
+    from repro.parallel.backends import make_executor
     from repro.perf.imbalance import summarize_parallel
+    from repro.telemetry import core as telemetry
     from repro.telemetry.export import write_chrome_trace
 
     rng = np.random.default_rng(41)
@@ -614,17 +615,17 @@ def check_xproc(
 def check_advisor_events() -> int:
     """Advise + report a realized time; validate the advisor.pick pair.
 
-    Under a scoped collector: one :func:`repro.perf.advisor.advise`
+    Under a scoped collector: one :func:`repro.perf.advisor.advisor.advise`
     call on a tiny matrix must emit a schema-valid ``advisor.pick``
     event with ``phase="advise"``, and
-    :func:`~repro.perf.advisor.record_realized` must emit the matching
+    :func:`~repro.perf.advisor.advisor.record_realized` must emit the matching
     ``phase="realized"`` half carrying the measured wall clock for the
     same configuration.
     """
-    from repro import telemetry
     from repro.formats.csr import CSRMatrix
     from repro.matrices.generators import dense_band
-    from repro.perf.advisor import advise, record_realized
+    from repro.perf.advisor.advisor import advise, record_realized
+    from repro.telemetry import core as telemetry
 
     csr = CSRMatrix.from_coo(dense_band(64, 2))
     prev = telemetry.set_collector(telemetry.Collector())
@@ -693,15 +694,15 @@ def check_resilience() -> int:
     """
     import numpy as np
 
-    from repro import telemetry
     from repro.errors import DeadlineExceeded, EncodingError
     from repro.formats.csr import CSRMatrix
-    from repro.obs import ObsRuntime
+    from repro.obs.core import ObsRuntime
     from repro.obs.rules import default_rules
     from repro.resilience import chaos
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.degrade import ResilientExecutor
     from repro.resilience.policy import Deadline
+    from repro.telemetry import core as telemetry
 
     rng = np.random.default_rng(43)
     dense = (rng.random((80, 80)) < 0.1) * rng.random((80, 80))
@@ -741,7 +742,7 @@ def check_resilience() -> int:
         )
         try:
             with ResilientExecutor(
-                csr, 2, backend="thread", storage="mem", format_name="csr"
+                csr, 2, backend="thread", format_name="csr"
             ) as rex:
                 got = rex(x)
                 rung = rex.active_rung
