@@ -71,11 +71,14 @@ class CSRMatrix(SparseMatrix):
         check_monotone(row_ptr, "row_ptr")
         check_in_range(col_ind, ncols, "col_ind")
         # Strictly increasing columns within each row: the only places a
-        # non-positive col diff may occur are row starts.
+        # non-positive col diff may occur are row starts (a mask indexed
+        # by row_ptr, which is checked monotone from 0 to nnz above).
         if col_ind.size > 1:
             bad = np.flatnonzero(np.diff(col_ind.astype(np.int64)) <= 0) + 1
             if bad.size:
-                ok = np.isin(bad, row_ptr[1:-1].astype(np.int64))
+                starts = np.zeros(col_ind.size + 1, dtype=bool)
+                starts[row_ptr[1:-1]] = True
+                ok = starts[bad]
                 if not ok.all():
                     idx = int(bad[~ok][0])
                     raise FormatError(

@@ -21,19 +21,24 @@ patterns -- the axes the formats are sensitive to (see
 
 ``realize(id, scale=...)`` builds the matrix; ``scale`` shrinks the
 working-set target (pair it with ``MachineSpec.scaled`` to keep every
-matrix in its set -- see DESIGN.md).
+matrix in its set -- see DESIGN.md).  It probes, then builds once: a
+size search reads each try's working set from the pattern's counts --
+a closed form for the families sized by their dimensions (stencils,
+diagonal bands), one sort of the packed coordinates for the rest, no
+values and no COO -- and only the chosen pattern gets its values and
+becomes a :class:`~repro.formats.csr.CSRMatrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import CatalogError
-from repro.formats.conversions import to_csr
 from repro.formats.csr import CSRMatrix
 from repro.matrices import generators as gen
-from repro.matrices.values import continuous_values, quantized_values, set_matrix_values
+from repro.matrices.values import continuous_values, quantized_values
 
 # ---------------------------------------------------------------------------
 # The paper's id sets (Section VI-B and VI-E, verbatim).
@@ -208,67 +213,129 @@ def _rows_for(ws: int, nnz_per_row: float) -> int:
     return max(16, int(ws / per_row))
 
 
-def _build_structure(ent: CatalogEntry, ws: int):
-    """Instantiate the structural pattern for one entry at target *ws*."""
+def _recipe(ent: CatalogEntry, ws: int):
+    """The structural pattern for one entry at target *ws*: a coordinate
+    function of :mod:`~repro.matrices.generators` and its arguments."""
     rng = np.random.default_rng(ent.seed)
     fam = ent.family
     if fam == "dense":
         n = max(8, int(np.sqrt(ws / 12.0)))
-        return gen.random_uniform(n, n, max(1, n - 1), ent.seed)
+        return gen._random_uniform, (n, n, max(1, n - 1), ent.seed)
     if fam == "stencil2d5":
         n = _rows_for(ws, 5)
         side = max(4, int(np.sqrt(n)))
-        return gen.stencil_2d(side, side, points=5)
+        return gen._stencil_2d, (side, side, 5)
     if fam == "stencil2d9":
         n = _rows_for(ws, 9)
         side = max(4, int(np.sqrt(n)))
-        return gen.stencil_2d(side, side, points=9)
+        return gen._stencil_2d, (side, side, 9)
     if fam == "stencil3d7":
         n = _rows_for(ws, 7)
         side = max(3, int(round(n ** (1 / 3))))
-        return gen.stencil_3d(side, side, side, points=7)
+        return gen._stencil_3d, (side, side, side, 7)
     if fam == "stencil3d27":
         n = _rows_for(ws, 27)
         side = max(3, int(round(n ** (1 / 3))))
-        return gen.stencil_3d(side, side, side, points=27)
+        return gen._stencil_3d, (side, side, side, 27)
     if fam == "banded":
         nnz_per_row = int(rng.integers(15, 45))
         n = _rows_for(ws, nnz_per_row)
         bandwidth = int(rng.integers(4 * nnz_per_row, 60 * nnz_per_row))
         bandwidth = min(bandwidth, max(2, n - 1))
-        return gen.banded_random(n, bandwidth, nnz_per_row, ent.seed)
+        return gen._banded_random, (n, bandwidth, nnz_per_row, ent.seed)
     if fam == "random":
         nnz_per_row = int(rng.integers(8, 24))
         # Duplicates get summed away; oversize ~6% to stay in class.
         n = _rows_for(int(ws * 1.06), nnz_per_row)
-        return gen.random_uniform(n, n, nnz_per_row, ent.seed)
+        return gen._random_uniform, (n, n, nnz_per_row, ent.seed)
     if fam == "powerlaw":
         avg_degree = int(rng.integers(8, 16))
         n = _rows_for(int(ws * 1.12), avg_degree)
-        return gen.powerlaw_graph(n, avg_degree, ent.seed)
+        return gen._powerlaw_graph, (n, avg_degree, ent.seed)
     if fam == "block":
         block = int(rng.choice((2, 3, 4)))
         blocks_per_row = int(rng.integers(3, 8))
         nnz_per_row = block * blocks_per_row
         n = _rows_for(int(ws * 1.04), nnz_per_row)
         nblocks = max(4, n // block)
-        return gen.block_structured(nblocks, block, blocks_per_row, ent.seed)
+        return gen._block_structured, (nblocks, block, blocks_per_row, ent.seed)
     if fam == "diagonals":
         ndiag = int(rng.integers(5, 13))
         n = _rows_for(ws, ndiag)
         max_off = max(2, min(n - 1, n // 3))
         offs = rng.choice(np.arange(1, max_off), size=max(1, ndiag // 2), replace=False)
         offsets = tuple(sorted({0, *map(int, offs), *map(lambda o: -int(o), offs)}))
-        return gen.diagonal_bands(n, offsets)
+        return gen._diagonal_bands, (n, offsets)
     raise CatalogError(f"unknown family {fam!r} for matrix {ent.matrix_id}")
+
+
+#: ``(nrows, nnz)`` of the families whose size follows from their
+#: dimensions, as a closed form of their recipe's arguments (a stencil
+#: row keeps the neighbours inside the grid; diagonal ``off`` holds
+#: ``n - |off|`` entries): probing their size costs no build.
+_CLOSED_FORM = {
+    "stencil2d5": lambda s, *_: (s * s, 5 * s * s - 4 * s),
+    "stencil2d9": lambda s, *_: (s * s, (3 * s - 2) ** 2),
+    "stencil3d7": lambda s, *_: (s**3, 7 * s**3 - 6 * s * s),
+    "stencil3d27": lambda s, *_: (s**3, (3 * s - 2) ** 3),
+    "diagonals": lambda n, offsets: (n, sum(n - abs(off) for off in offsets)),
+}
+
+
+def _pattern_ws(nrows: int, ncols: int, nnz: int) -> int:
+    """``working_set_bytes`` of an int32-index CSR matrix of this shape."""
+    return 4 * (nrows + 1) + 12 * nnz + 8 * (nrows + ncols)
+
+
+def _canonical_pattern(nrows: int, ncols: int, rows, cols):
+    """``(nrows, ncols, row_ptr, col_ind)`` of a coordinate pattern.
+
+    The order and duplicate merge of :class:`~repro.formats.coo.COOMatrix`
+    without its values: one in-place sort of the packed key
+    ``row << 32 | col`` (equal keys are indistinguishable, so no stable
+    argsort), then adjacent equal keys collapse to one.
+    """
+    key = np.asarray(rows, dtype=np.int64) << 32
+    key |= cols
+    key.sort()
+    if key.size:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key >> 32, minlength=nrows), out=row_ptr[1:])
+    col_ind = (key & 0xFFFFFFFF).astype(np.int32)
+    return nrows, ncols, row_ptr.astype(np.int32), col_ind
+
+
+def _probe(ent: CatalogEntry, ws: int):
+    """The realized working set of *ent*'s pattern at request *ws*, and
+    a thunk returning that pattern (see :func:`_canonical_pattern`).
+
+    Families with a closed form (:data:`_CLOSED_FORM`) answer from it
+    and build only if chosen; the others canonicalize their coordinates
+    here.
+    """
+    fn, args = _recipe(ent, ws)
+    size_of = _CLOSED_FORM.get(ent.family)
+    if size_of is None:
+        pattern = _canonical_pattern(*fn(*args))
+        nrows, ncols, _, col_ind = pattern
+        return _pattern_ws(nrows, ncols, col_ind.size), lambda: pattern
+    n, nnz = size_of(*args)
+    return _pattern_ws(n, n, nnz), lambda: _canonical_pattern(*fn(*args))
 
 
 def realize(matrix_id: int, *, scale: float = 1.0) -> CSRMatrix:
     """Build the catalog matrix *matrix_id* at working-set scale *scale*.
 
-    Deterministic: the same (id, scale) always yields the same matrix.
-    Pass ``scale < 1`` together with ``machine.scaled(scale)`` to run
-    class-faithful scaled experiments.
+    Probe, then one build: a size search probes the pattern's working
+    set (from counts alone), the chosen pattern gets its values, and
+    one :class:`CSRMatrix` is constructed.  Deterministic: the same
+    (id, scale) always yields the same matrix.  Pass ``scale < 1``
+    together with ``machine.scaled(scale)`` to run class-faithful
+    scaled experiments.
     """
     if scale <= 0:
         raise CatalogError(f"scale must be positive, got {scale}")
@@ -283,24 +350,19 @@ def realize(matrix_id: int, *, scale: float = 1.0) -> CSRMatrix:
         upper = int(3 * _MB * scale * 0.99)
     # Random families lose nonzeros to duplicate collisions, and grid
     # families round their dimensions (a 3-D cube's volume moves in
-    # side^3 steps); rebuild with an adjusted request until the realized
-    # working set lands in its class band (the set-membership tests
-    # depend on it).  Deterministic: the adjustment sequence is a pure
-    # function of (id, scale).
-    from repro.formats.base import working_set_bytes
-
+    # side^3 steps); re-probe with an adjusted request until the
+    # realized working set lands in its class band (the set-membership
+    # tests depend on it).  Deterministic: the adjustment sequence is a
+    # pure function of (id, scale).
     ws = target
-    csr = None
-    best = None  # largest compliant build (class band beats exact size)
+    best = None  # (ws, thunk) of the largest compliant try: band beats size
     for _ in range(6):
-        structure = _build_structure(ent, ws)
-        csr = to_csr(structure)
-        realized = working_set_bytes(csr)
+        realized, build = _probe(ent, ws)
         if ent.family == "dense":
             break
         if upper is None or realized < upper:
-            if best is None or realized > working_set_bytes(best):
-                best = csr
+            if best is None or realized > best[0]:
+                best = realized, build
         if realized < target:
             ws = int(ws * target / max(1, realized) * 1.05)
         elif upper is not None and realized >= upper:
@@ -310,17 +372,14 @@ def realize(matrix_id: int, *, scale: float = 1.0) -> CSRMatrix:
     # Coarse-grained families (3-D cubes step in side^3) may be unable
     # to satisfy both the size target and the class ceiling; the class
     # ceiling wins -- set membership is what the experiments rely on.
-    if (
-        ent.family != "dense"
-        and upper is not None
-        and working_set_bytes(csr) >= upper
-        and best is not None
-    ):
-        csr = best
+    if upper is not None and realized >= upper and best is not None:
+        build = best[1]
+    nrows, ncols, row_ptr, col_ind = build()
+    nnz = col_ind.size
     if ent.ttu_target is None:
-        values = continuous_values(csr.nnz, ent.seed + 1)
+        values = continuous_values(nnz, ent.seed + 1)
     else:
-        unique = max(2, int(round(csr.nnz / ent.ttu_target)))
-        unique = min(unique, csr.nnz)
-        values = quantized_values(csr.nnz, unique, ent.seed + 1)
-    return set_matrix_values(csr, values)
+        unique = max(2, int(round(nnz / ent.ttu_target)))
+        unique = min(unique, nnz)
+        values = quantized_values(nnz, unique, ent.seed + 1)
+    return CSRMatrix(nrows, ncols, row_ptr, col_ind, values)

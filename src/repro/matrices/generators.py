@@ -25,7 +25,11 @@ per structural family that collection spans:
 Every generator takes an explicit seed and is fully deterministic; all
 return :class:`~repro.formats.coo.COOMatrix` with value 1.0 entries --
 value models live in :mod:`repro.matrices.values` and are applied
-separately so structure and value redundancy compose freely.
+separately so structure and value redundancy compose freely.  The
+catalog's families wrap a private coordinate core returning
+``(nrows, ncols, rows, cols)`` (uncanonicalized: duplicates possible);
+:func:`repro.matrices.collection.realize` builds from those cores
+without a COO.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ def stencil_2d(nx: int, ny: int, points: int = 5) -> COOMatrix:
     ``points`` is 5 (von Neumann neighbourhood) or 9 (Moore).  Matrix
     order is ``nx * ny``.
     """
+    return _coo(*_stencil_2d(nx, ny, points))
+
+
+def _stencil_2d(nx: int, ny: int, points: int):
     if points not in (5, 9):
         raise CatalogError(f"2-D stencil must have 5 or 9 points, got {points}")
     if nx < 1 or ny < 1:
@@ -67,11 +75,15 @@ def stencil_2d(nx: int, ny: int, points: int = 5) -> COOMatrix:
         ok = (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny)
         rows_list.append((gx[ok] * ny + gy[ok]))
         cols_list.append((ni[ok] * ny + nj[ok]))
-    return _coo(nx * ny, nx * ny, np.concatenate(rows_list), np.concatenate(cols_list))
+    return nx * ny, nx * ny, np.concatenate(rows_list), np.concatenate(cols_list)
 
 
 def stencil_3d(nx: int, ny: int, nz: int, points: int = 7) -> COOMatrix:
     """3-D grid Laplacian stencil (7- or 27-point)."""
+    return _coo(*_stencil_3d(nx, ny, nz, points))
+
+
+def _stencil_3d(nx: int, ny: int, nz: int, points: int):
     if points not in (7, 27):
         raise CatalogError(f"3-D stencil must have 7 or 27 points, got {points}")
     if min(nx, ny, nz) < 1:
@@ -111,7 +123,7 @@ def stencil_3d(nx: int, ny: int, nz: int, points: int = 7) -> COOMatrix:
         rows_list.append((gx[ok] * ny + gy[ok]) * nz + gz[ok])
         cols_list.append((ni[ok] * ny + nj[ok]) * nz + nk[ok])
     n = nx * ny * nz
-    return _coo(n, n, np.concatenate(rows_list), np.concatenate(cols_list))
+    return n, n, np.concatenate(rows_list), np.concatenate(cols_list)
 
 
 def banded_random(
@@ -120,6 +132,10 @@ def banded_random(
     """FEM-like band matrix: *nnz_per_row* entries per row scattered
     uniformly inside ``[i - bandwidth, i + bandwidth]`` (plus the
     diagonal, always present)."""
+    return _coo(*_banded_random(n, bandwidth, nnz_per_row, seed))
+
+
+def _banded_random(n: int, bandwidth: int, nnz_per_row: int, seed: int):
     if n < 1 or bandwidth < 1 or nnz_per_row < 1:
         raise CatalogError("banded_random parameters must be positive")
     rng = np.random.default_rng(seed)
@@ -128,21 +144,23 @@ def banded_random(
     offs = rng.integers(-bandwidth, bandwidth + 1, size=rows.size)
     cols = np.clip(rows + offs, 0, n - 1)
     diag = np.arange(n, dtype=np.int64)
-    return _coo(
-        n, n, np.concatenate([rows, diag]), np.concatenate([cols, diag])
-    )
+    return n, n, np.concatenate([rows, diag]), np.concatenate([cols, diag])
 
 
 def random_uniform(
     nrows: int, ncols: int, nnz_per_row: int, seed: int
 ) -> COOMatrix:
     """Unstructured sparsity: nnz_per_row uniform random columns per row."""
+    return _coo(*_random_uniform(nrows, ncols, nnz_per_row, seed))
+
+
+def _random_uniform(nrows: int, ncols: int, nnz_per_row: int, seed: int):
     if nrows < 1 or ncols < 1 or nnz_per_row < 1:
         raise CatalogError("random_uniform parameters must be positive")
     rng = np.random.default_rng(seed)
     rows = np.repeat(np.arange(nrows, dtype=np.int64), nnz_per_row)
     cols = rng.integers(0, ncols, size=rows.size)
-    return _coo(nrows, ncols, rows, cols)
+    return nrows, ncols, rows, cols
 
 
 def powerlaw_graph(n: int, avg_degree: int, seed: int, alpha: float = 1.5) -> COOMatrix:
@@ -152,6 +170,10 @@ def powerlaw_graph(n: int, avg_degree: int, seed: int, alpha: float = 1.5) -> CO
     permutation of vertices, giving a few extremely heavy columns/rows
     -- the load-balancing stress case (cf. the web matrices in [5]).
     """
+    return _coo(*_powerlaw_graph(n, avg_degree, seed, alpha))
+
+
+def _powerlaw_graph(n: int, avg_degree: int, seed: int, alpha: float = 1.5):
     if n < 2 or avg_degree < 1:
         raise CatalogError("powerlaw_graph needs n >= 2, avg_degree >= 1")
     rng = np.random.default_rng(seed)
@@ -163,7 +185,7 @@ def powerlaw_graph(n: int, avg_degree: int, seed: int, alpha: float = 1.5) -> CO
     perm = rng.permutation(n)
     cols = perm[cols]
     rows = rng.integers(0, n, size=m)
-    return _coo(n, n, rows, cols)
+    return n, n, rows, cols
 
 
 def block_structured(
@@ -171,6 +193,10 @@ def block_structured(
 ) -> COOMatrix:
     """Dense ``block x block`` tiles on a random block-sparsity pattern
     (multi-dof FEM structure)."""
+    return _coo(*_block_structured(nblocks, block, blocks_per_row, seed))
+
+
+def _block_structured(nblocks: int, block: int, blocks_per_row: int, seed: int):
     if nblocks < 1 or block < 1 or blocks_per_row < 1:
         raise CatalogError("block_structured parameters must be positive")
     rng = np.random.default_rng(seed)
@@ -182,7 +208,7 @@ def block_structured(
     rows = (brows[:, None] * block + di[None, :]).ravel()
     cols = (bcols[:, None] * block + dj[None, :]).ravel()
     n = nblocks * block
-    return _coo(n, n, rows, cols)
+    return n, n, rows, cols
 
 
 def dense_band(n: int, half_bandwidth: int) -> COOMatrix:
@@ -207,6 +233,10 @@ def dense_band(n: int, half_bandwidth: int) -> COOMatrix:
 
 def diagonal_bands(n: int, offsets: tuple[int, ...]) -> COOMatrix:
     """A matrix holding full diagonals at the given *offsets* (CDS-like)."""
+    return _coo(*_diagonal_bands(n, offsets))
+
+
+def _diagonal_bands(n: int, offsets: tuple[int, ...]):
     if n < 1:
         raise CatalogError("n must be positive")
     if not offsets:
@@ -220,7 +250,7 @@ def diagonal_bands(n: int, offsets: tuple[int, ...]) -> COOMatrix:
         ok = (cols >= 0) & (cols < n)
         rows_list.append(idx[ok])
         cols_list.append(cols[ok])
-    return _coo(n, n, np.concatenate(rows_list), np.concatenate(cols_list))
+    return n, n, np.concatenate(rows_list), np.concatenate(cols_list)
 
 
 def tridiagonal(n: int) -> COOMatrix:

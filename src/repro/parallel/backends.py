@@ -80,9 +80,6 @@ def make_executor(
     storage: str = "mem",
     format_name: str = "csr",
     directory: str | None = None,
-    convert_cache=None,
-    chunk_timeout: float | None = None,
-    retry_policy=None,
     deadline=None,
     **format_kwargs,
 ):
@@ -93,10 +90,12 @@ def make_executor(
     defaults to the host CPU count (see :func:`default_workers`);
     ``format_name="auto"`` resolves through the advisor.
 
-    ``retry_policy`` (a :class:`~repro.resilience.policy.RetryPolicy`;
-    default one decode-class retry) and ``deadline`` (a
-    :class:`~repro.resilience.policy.Deadline` whose remaining budget
-    caps every per-chunk wait) flow into whichever executor is built.
+    ``deadline`` (a :class:`~repro.resilience.policy.Deadline` whose
+    remaining budget caps every per-chunk wait) flows into whichever
+    executor is built; the executors' other settings (encode cache,
+    chunk timeout, retry policy) keep their defaults here -- construct
+    :class:`ParallelSpMV` or :class:`ProcessParallelSpMV` directly to
+    set them.
     """
     if backend not in BACKENDS:
         raise PartitionError(
@@ -120,11 +119,8 @@ def make_executor(
             matrix,
             nworkers,
             format_name=format_name,
-            convert_cache=convert_cache,
-            chunk_timeout=chunk_timeout,
             storage=storage,
             directory=directory,
-            retry_policy=retry_policy,
             deadline=deadline,
             **format_kwargs,
         )
@@ -134,9 +130,6 @@ def make_executor(
         format_name=format_name,
         storage=storage,
         directory=directory,
-        convert_cache=convert_cache,
-        chunk_timeout=chunk_timeout,
-        retry_policy=retry_policy,
         deadline=deadline,
         **format_kwargs,
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FormatError
 from repro.formats.coo import COOMatrix
@@ -89,6 +91,46 @@ class TestInvariants:
     def test_value_length_mismatch(self):
         with pytest.raises(FormatError):
             CSRMatrix(1, 2, np.array([0, 1]), np.array([0], dtype=np.int32), [1.0, 2.0])
+
+
+def _first_unsorted_isin(row_ptr: np.ndarray, col_ind: np.ndarray):
+    """Oracle: the first non-row-start position whose column does not
+    exceed its predecessor's, found with ``np.isin``."""
+    if col_ind.size <= 1:
+        return None
+    bad = np.flatnonzero(np.diff(col_ind.astype(np.int64)) <= 0) + 1
+    ok = np.isin(bad, row_ptr[1:-1].astype(np.int64))
+    return None if ok.all() else int(bad[~ok][0])
+
+
+class TestColumnOrderCheck:
+    """The row-start mask flags exactly what the ``np.isin`` check did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.lists(st.integers(0, 7), max_size=5), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example(rows=[([], False), ([1, 4], False), ([], False), ([0], False)])
+    @example(rows=[([2, 5], False), ([3, 3], False)])
+    @example(rows=[([0, 4, 2, 6], False), ([1], False)])
+    @example(rows=[([1, 2], False), ([0, 3, 5, 4], False)])
+    @example(rows=[([6], False), ([0, 1], False), ([], False)])
+    def test_matches_isin_oracle(self, rows):
+        # A True flag makes that row canonical (sorted, unique).
+        cols = [sorted(set(c)) if canon else c for c, canon in rows]
+        row_ptr = np.cumsum([0] + [len(c) for c in cols])
+        col_ind = np.array([j for c in cols for j in c], dtype=np.int32)
+        values = np.ones(col_ind.size)
+        idx = _first_unsorted_isin(row_ptr, col_ind)
+        if idx is None:
+            assert CSRMatrix(len(cols), 8, row_ptr, col_ind, values).nnz == col_ind.size
+        else:
+            with pytest.raises(FormatError, match=rf"at position {idx}$"):
+                CSRMatrix(len(cols), 8, row_ptr, col_ind, values)
 
 
 class TestHelpers:

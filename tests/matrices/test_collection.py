@@ -1,10 +1,20 @@
 """Tests for the 100-matrix catalog: the paper's id sets, exactly."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError
+from repro.formats.base import working_set_bytes
+from repro.formats.conversions import to_csr
+from repro.matrices import generators as gen
 from repro.matrices.collection import (
+    _CLOSED_FORM,
     ALL_IDS,
     M0_IDS,
     M0_VI_IDS,
@@ -12,6 +22,8 @@ from repro.matrices.collection import (
     ML_VI_IDS,
     MS_IDS,
     MS_VI_IDS,
+    _canonical_pattern,
+    _pattern_ws,
     catalog,
     entry,
     realize,
@@ -128,3 +140,88 @@ class TestRealize:
         """The catalog is not one family in disguise."""
         families = {entry(mid).family for mid in M0_IDS}
         assert len(families) >= 6
+
+
+#: ``[nrows, ncols, sha(row_ptr), sha(col_ind), sha(values)]`` of
+#: ``realize(id, scale=1/64)`` for all 100 ids, recorded from the
+#: COO-based size search the pattern probe replaced.
+CHECKSUMS = Path(__file__).with_name("realize_checksums.json")
+
+
+def _sha(array: np.ndarray) -> str:
+    digest = hashlib.sha256(array.dtype.str.encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestRealizeChecksums:
+    def test_every_id_matches_the_checked_in_list(self):
+        """Probe-then-one-build yields byte-identical matrices (and
+        dtypes) for every id; the non-M0 ids cover the other
+        class-ceiling branch."""
+        expected = json.loads(CHECKSUMS.read_text())
+        assert sorted(map(int, expected)) == list(ALL_IDS)
+        for mid in ALL_IDS:
+            m = realize(mid, scale=1 / 64)
+            got = [m.nrows, m.ncols, _sha(m.row_ptr), _sha(m.col_ind), _sha(m.values)]
+            assert got == expected[str(mid)], f"id {mid}"
+
+
+#: (public generator, its coordinate core, the arguments before the seed)
+#: of the families whose coordinates repeat.
+DUPLICATE_FAMILIES = [
+    (gen.random_uniform, gen._random_uniform, lambda n, k: (n, n + 3, k)),
+    (gen.banded_random, gen._banded_random, lambda n, k: (n, n // 4 + 1, k)),
+    (gen.powerlaw_graph, gen._powerlaw_graph, lambda n, k: (n, k)),
+    (gen.block_structured, gen._block_structured, lambda n, k: (n, k % 3 + 1, k)),
+]
+
+
+class TestProbe:
+    """The size probe and the pattern canonicalization agree with the
+    public generators' COO -> CSR path."""
+
+    @pytest.mark.parametrize(
+        "family, make, dims",
+        [
+            ("stencil2d5", gen.stencil_2d, lambda s: (s, s, 5)),
+            ("stencil2d9", gen.stencil_2d, lambda s: (s, s, 9)),
+            ("stencil3d7", gen.stencil_3d, lambda s: (s, s, s, 7)),
+            ("stencil3d27", gen.stencil_3d, lambda s: (s, s, s, 27)),
+        ],
+    )
+    def test_stencil_closed_form(self, family, make, dims):
+        for side in range(3, 41):
+            n, nnz = _CLOSED_FORM[family](*dims(side))
+            built = to_csr(make(*dims(side)))
+            assert _pattern_ws(n, n, nnz) == working_set_bytes(built), side
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        offsets=st.sets(st.integers(-79, 79), min_size=1, max_size=9),
+    )
+    def test_diagonals_closed_form(self, n, offsets):
+        offsets = tuple(sorted(o for o in offsets if abs(o) < n)) or (0,)
+        size = _CLOSED_FORM["diagonals"](n, offsets)
+        built = to_csr(gen.diagonal_bands(n, offsets))
+        assert _pattern_ws(n, n, size[1]) == working_set_bytes(built)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(DUPLICATE_FAMILIES),
+        n=st.integers(2, 60),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pattern_matches_coo_path(self, case, n, k, seed):
+        """Duplicate-heavy families: sort + adjacent-unique on the packed
+        key gives COOMatrix's canonical order and merge."""
+        public, coords, params = case
+        args = (*params(n, k), seed)
+        nrows, ncols, row_ptr, col_ind = _canonical_pattern(*coords(*args))
+        csr = to_csr(public(*args))
+        assert (nrows, ncols) == csr.shape
+        for got, want in ((row_ptr, csr.row_ptr), (col_ind, csr.col_ind)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

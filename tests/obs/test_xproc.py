@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -274,16 +275,21 @@ class TestForkBoundaryMerge:
             ) as par:
                 for _ in range(self.CALLS):
                     y = par(x)
+                children = {p.pid for p in multiprocessing.active_children()}
             events = collector.snapshot()
             snap = runtime.snapshot()
         finally:
             telemetry.set_sink(prev)
             runtime.close()
         assert np.allclose(y, csr.spmv(x), rtol=1e-13, atol=1e-13)
-        return events, snap
+        return events, snap, children
 
     def test_worker_spans_carry_distinct_pids(self, merged):
-        events, _ = merged
+        """Every chunk span carries a pool child's pid, never the
+        parent's, and the chunks cover every worker slot.  The pool may
+        hand several chunks to one process, so the number of distinct
+        pids is not pinned."""
+        events, _, children = merged
         spans = [
             e
             for e in events
@@ -293,8 +299,8 @@ class TestForkBoundaryMerge:
         ]
         assert len(spans) == self.NWORKERS * self.CALLS
         pids = {e.attrs["pid"] for e in spans}
-        assert len(pids) == self.NWORKERS
         assert os.getpid() not in pids
+        assert pids <= children
         assert {e.attrs["worker"] for e in spans} == set(range(self.NWORKERS))
         for sub in ("worker.attach", "worker.multiply"):
             assert sum(1 for e in events if e.name == sub) == (
@@ -302,7 +308,7 @@ class TestForkBoundaryMerge:
             )
 
     def test_merged_histogram_counts_every_chunk(self, merged):
-        _, snap = merged
+        _, snap, _ = merged
         (hist,) = [
             h
             for h in snap["histograms"]
@@ -312,7 +318,7 @@ class TestForkBoundaryMerge:
         assert hist["count"] == self.NWORKERS * self.CALLS
 
     def test_merged_percentiles_within_documented_bound(self, merged):
-        events, snap = merged
+        events, snap, _ = merged
         # Each worker's parallel.chunk span is logged and, in the same
         # call, sampled into its own histogram shard, so the merged
         # percentiles must agree with numpy's nearest-rank over the
@@ -336,7 +342,7 @@ class TestForkBoundaryMerge:
             assert abs(est - exact) / exact <= ERROR_BOUND + 1e-12
 
     def test_worker_cache_counters_merge(self, merged):
-        events, _ = merged
+        events, _, _ = merged
         hits = [e for e in events if e.name == "storage.shard.cache.hit"]
         misses = [e for e in events if e.name == "storage.shard.cache.miss"]
         # Every chunk is exactly one lookup.  The pool does not pin

@@ -19,8 +19,8 @@ from repro.errors import (
     StorageError,
 )
 from repro.formats.csr import CSRMatrix
-from repro.parallel.backends import make_executor
 from repro.parallel.executor import ParallelSpMV
+from repro.parallel.process_executor import ProcessParallelSpMV
 from repro.resilience import chaos
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.telemetry import core as telemetry
@@ -53,6 +53,8 @@ def _fail_chunk(thread, exc_factory=lambda: EncodingError("injected decode")):
     )
 
 
+EXECUTORS = {"thread": ParallelSpMV, "process": ProcessParallelSpMV}
+
 #: Each backend's chaos site and the match that fires once on chunk 0:
 #: every pool worker counts ``times`` down in its own copy, so the
 #: process site also matches generation 0, which the rebuild moves past.
@@ -72,9 +74,7 @@ def test_one_retry_rule_on_both_backends(csr, backend, error):
     """A decode-class error gets exactly one rebuild retry; others none."""
     x = np.random.default_rng(9).random(csr.ncols)
     site, match = SITES[backend]
-    with make_executor(
-        csr, 2, backend=backend, convert_cache=ConvertCache()
-    ) as ex:
+    with EXECUTORS[backend](csr, 2, convert_cache=ConvertCache()) as ex:
         y_ref = ex(x)
     prev = telemetry.set_collector(telemetry.Collector())
     try:
@@ -84,9 +84,7 @@ def test_one_retry_rule_on_both_backends(csr, backend, error):
             match=match,
             exc_factory=lambda: error("injected"),
         )
-        with make_executor(
-            csr, 2, backend=backend, convert_cache=ConvertCache()
-        ) as ex:
+        with EXECUTORS[backend](csr, 2, convert_cache=ConvertCache()) as ex:
             if error in DECODE_ERRORS:
                 assert np.array_equal(ex(x), y_ref)
             else:

@@ -81,6 +81,18 @@ ALLOWLIST = {
     "repro.matrices.collection:catalog": (
         "public entry point: list the 100-matrix catalog's entries"
     ),
+    "repro.matrices.generators:random_uniform": (
+        "public entry point: the unstructured family as COO; the catalog "
+        "realizes it from its coordinate core"
+    ),
+    "repro.matrices.generators:stencil_3d": (
+        "public entry point: the 3-D stencil family as COO; the catalog "
+        "realizes it from its coordinate core"
+    ),
+    "repro.matrices.generators:block_structured": (
+        "public entry point: the block family as COO; the catalog "
+        "realizes it from its coordinate core"
+    ),
     "repro.matrices.generators:tridiagonal": (
         "public entry point: the classic [-1, 0, 1] generator"
     ),
@@ -149,13 +161,18 @@ PARAM_ALLOWLIST = {
     "repro.compress.encode_cache:ConvertCache.__init__(capacity)": (
         "test seam: a small LRU makes eviction observable in a few encodes"
     ),
-    **{
-        f"repro.parallel.backends:make_executor({name})": (
-            "public entry point: make_executor takes the executors' settings "
-            "and forwards them to the one it builds"
-        )
-        for name in ("directory", "convert_cache", "chunk_timeout", "retry_policy")
-    },
+    "repro.parallel.executor:ParallelSpMV.__init__(chunk_timeout)": (
+        "test seam: tests bound a straggler's wait on the thread backend"
+    ),
+    "repro.parallel.executor:ParallelSpMV.__init__(retry_policy)": (
+        "test seam: tests run custom retry policies on the thread backend"
+    ),
+    "repro.parallel.process_executor:ProcessParallelSpMV.__init__(convert_cache)": (
+        "test seam: a private cache keeps one test's encodes out of the next"
+    ),
+    "repro.parallel.backends:make_executor(directory)": (
+        "public entry point: storage=\"mmap\" needs the shard-file directory"
+    ),
 }
 
 #: Quick-tour name the root ``repro`` package keeps -> a file outside
